@@ -31,7 +31,6 @@ from .greedy import (
     greedy_budget,
     greedy_burn,
     greedy_radius,
-    greedy_step,
 )
 from .model import (
     HEAD,
@@ -52,7 +51,7 @@ from .model import (
     path_radius,
     spider_to_graph,
 )
-from .spider import burn_path, burn_small_spider, burn_spider, reduce_long_arm
+from .spider import burn_path, burn_spider
 
 __version__ = "0.1.0"
 
@@ -77,7 +76,6 @@ __all__ = [
     "arm_vertex",
     "bound_table",
     "burn_path",
-    "burn_small_spider",
     "burn_spider",
     "ceil_sqrt",
     "comp_vertex",
@@ -89,7 +87,6 @@ __all__ = [
     "greedy_budget",
     "greedy_burn",
     "greedy_radius",
-    "greedy_step",
     "lower_bound",
     "naive_schedule_search",
     "parse_vertex",
@@ -98,7 +95,6 @@ __all__ = [
     "path_radius",
     "random_path_forest",
     "random_spider",
-    "reduce_long_arm",
     "schedule_from_cover",
     "simulate",
     "spider_to_graph",

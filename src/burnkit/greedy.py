@@ -27,8 +27,7 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .bounds import ub_floor, ub_sqrt
-from .burning import schedule_from_cover, verify_schedule
-from .errors import InternalContradictionError
+from .burning import schedule_from_cover
 from .model import (
     BudgetedCover,
     BurnSchedule,
@@ -60,22 +59,6 @@ class GreedyStep:
 @dataclass(frozen=True)
 class GreedyTrace:
     steps: tuple[GreedyStep, ...]
-
-
-def greedy_step(pf: PathForest) -> tuple[tuple[VertexId, int], PathForest | None]:
-    """One removal on pf in its own canonical coordinates.
-
-    Returns ((center, radius), remainder) with remainder None once empty.
-    """
-    r = greedy_radius(pf.n, pf.t)
-    a = pf.orders[0]  # canonical order puts a largest component first
-    if a // 2 <= r:
-        center = comp_vertex(0, path_center(a))
-        rest = pf.orders[1:]
-    else:
-        center = comp_vertex(0, a - 1 - r)
-        rest = (a - (2 * r + 1),) + pf.orders[1:]
-    return (center, r), (PathForest(rest) if rest else None)
 
 
 def _greedy_pairs(pf: PathForest) -> tuple[list[tuple[VertexId, int]], GreedyTrace]:
@@ -119,6 +102,4 @@ def greedy_burn(pf: PathForest) -> tuple[BudgetedCover, BurnSchedule, GreedyTrac
     cover = BudgetedCover(tuple(pairs), greedy_budget(pf))
     g = path_forest_to_graph(pf)
     schedule = schedule_from_cover(g, cover)
-    if not verify_schedule(g, schedule):
-        raise InternalContradictionError("greedy schedule failed verification")
     return cover, schedule, trace

@@ -288,7 +288,7 @@ class LabeledGraph:
     lists and a SegmentVertices for path forests and spiders.
     """
 
-    __slots__ = ("vertices", "_indptr", "_indices", "_index", "_adj", "_canon")
+    __slots__ = ("vertices", "_indptr", "_indices", "_index", "_canon")
 
     def __init__(self, vertices, edges=()):
         vertices = tuple(vertices)
@@ -315,7 +315,6 @@ class LabeledGraph:
         self._indptr = indptr
         self._indices = indices
         self._index = index
-        self._adj = None
         self._canon = None
 
     @classmethod
@@ -327,7 +326,6 @@ class LabeledGraph:
         g.vertices = vertices
         g._indptr, g._indices = vertices.csr()
         g._index = None
-        g._adj = None
         g._canon = canonical_order
         return g
 
@@ -369,15 +367,6 @@ class LabeledGraph:
         i = self.index_of(v)
         lo, hi = int(self._indptr[i]), int(self._indptr[i + 1])
         return tuple(self.vertices[j] for j in self._indices[lo:hi])
-
-    def adjacency(self) -> dict:
-        if self._adj is None:
-            self._adj = {v: frozenset(self.neighbors(v)) for v in self.vertices}
-        return self._adj
-
-    def degree(self, v) -> int:
-        i = self.index_of(v)
-        return int(self._indptr[i + 1] - self._indptr[i])
 
 
 def path_forest_to_graph(pf: PathForest) -> LabeledGraph:

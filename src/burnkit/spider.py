@@ -11,7 +11,8 @@ cover within budget a = ceil_sqrt(n):
 * some arm has length >= 2a-1: one radius a-1 ball removes the 2a-1 tip
   vertices of the longest arm; the remainder (a smaller spider, or a path
   through the head once only two arms survive) has ceil-sqrt at most a-1,
-  so recursion stacks strictly shrinking radii under the same budget.
+  so repeating the split stacks strictly shrinking radii under the same
+  budget.
 * the exceptional tight shape, a-1 arms all of length a+1 (n = a*a): a
   ball of radius a-1 on the first arm next to the head reaches everything
   except a length-3 stub on each other arm and the first arm's leaf;
@@ -34,8 +35,8 @@ from __future__ import annotations
 from itertools import takewhile
 
 from .bounds import ub_floor
-from .burning import cover_from_schedule, schedule_from_cover, verify_schedule
-from .errors import InstanceError, InternalContradictionError
+from .burning import cover_from_schedule, schedule_from_cover
+from .errors import InternalContradictionError
 from .exact import exact_burning_number
 from .greedy import _greedy_pairs
 from .model import (
@@ -76,46 +77,6 @@ def burn_path(order: int) -> tuple[BudgetedCover, BurnSchedule]:
     cover = BudgetedCover(pairs, ceil_sqrt(order))
     g = path_forest_to_graph(pf)
     schedule = schedule_from_cover(g, cover)
-    if not verify_schedule(g, schedule):
-        raise InternalContradictionError("path tiling failed verification")
-    return cover, schedule
-
-
-def reduce_long_arm(sp: Spider) -> tuple[tuple[VertexId, int], Spider | PathForest]:
-    """Split off the 2a-1 tip of the longest arm as one radius a-1 ball.
-
-    Only applies when that arm has length at least 2a-1 (a = ceil_sqrt of
-    the order).  Returns the (center, radius) pair and the remainder,
-    which is a smaller spider, or a single path once only two arms are
-    left.  Remainder vertices keep their positions; only arm indices are
-    renumbered (canonical order sorts by length).
-    """
-    alpha = ceil_sqrt(sp.n)
-    longest = sp.arms[0]
-    if longest < 2 * alpha - 1:
-        raise InstanceError(
-            f"longest arm {longest} is shorter than {2 * alpha - 1}, nothing to split"
-        )
-    pair = (arm_vertex(0, longest - (alpha - 1)), alpha - 1)
-    stub = longest - (2 * alpha - 1)
-    lens = ([stub] if stub else []) + list(sp.arms[1:])
-    if len(lens) >= 3:
-        return pair, Spider(tuple(lens))
-    return pair, PathForest((sum(lens) + 1,))
-
-
-def burn_small_spider(sp: Spider) -> tuple[BudgetedCover, BurnSchedule]:
-    """Optimal burn of a spider of order <= 25, cover budget ceil_sqrt(n)."""
-    if sp.n > _EXACT_BASE:
-        raise InstanceError(f"only for spiders of order at most {_EXACT_BASE}")
-    g = spider_to_graph(sp)
-    k, schedule = exact_burning_number(g)
-    alpha = ceil_sqrt(sp.n)
-    if k > alpha:
-        raise InternalContradictionError(
-            f"spider of order {sp.n} needed {k} > ceil_sqrt rounds"
-        )
-    cover = BudgetedCover(cover_from_schedule(g, schedule).pairs, alpha)
     return cover, schedule
 
 
@@ -126,8 +87,6 @@ def burn_spider(sp: Spider) -> tuple[BudgetedCover, BurnSchedule]:
     cover = BudgetedCover(tuple(pairs), alpha)
     g = spider_to_graph(sp)
     schedule = schedule_from_cover(g, cover)
-    if not verify_schedule(g, schedule):
-        raise InternalContradictionError("spider cover failed verification")
     return cover, schedule
 
 
@@ -135,11 +94,42 @@ def _spider_pairs(arms: tuple[int, ...]) -> list[tuple[VertexId, int]]:
     """Cover pairs for the spider with these arms (sorted non-increasing).
 
     The radii always fit the budget ceil_sqrt(1 + sum(arms)): each branch
-    either uses radii a-1, a-2, ... directly or prepends a-1 to a
-    recursive cover whose own budget is at most a-1.
+    either uses radii a-1, a-2, ... directly or splits off a radius a-1
+    ball and goes on with the remainder, whose own budget is at most a-1.
+    Splits run in a loop, since a spider of order n can take about sqrt(n)
+    of them.  Arm i of the current remainder lies on input arm origin[i];
+    a split keeps every surviving position.
     """
-    n = 1 + sum(arms)
-    alpha = ceil_sqrt(n)
+    out: list[tuple[VertexId, int]] = []
+    origin = list(range(len(arms)))
+
+    def lift(pairs):
+        for v, r in pairs:
+            out.append((arm_vertex(origin[v[1]], v[2]) if v[0] == "a" else v, r))
+
+    while True:
+        n = 1 + sum(arms)
+        alpha = ceil_sqrt(n)
+        if n <= _EXACT_BASE or arms[0] < 2 * alpha - 1:
+            break
+        pair, survivors = _split_longest(arms, alpha)
+        lift([pair])
+        if len(survivors) < 3:
+            # two arms and the head left over: a path, tiled and mapped back
+            # (first arm reversed leaf-to-head, then the head, then the second arm)
+            first, second = arms[1], arms[2]
+            path = []
+            for c, r in _path_pairs(first + 1 + second):
+                if c < first:
+                    path.append((arm_vertex(1, first - c), r))
+                elif c == first:
+                    path.append((HEAD, r))
+                else:
+                    path.append((arm_vertex(2, c - first), r))
+            lift(path)
+            return out
+        arms = tuple(length for length, _ in survivors)
+        origin = [origin[i] for _, i in survivors]
 
     if n <= _EXACT_BASE:
         g = spider_to_graph(Spider(arms))
@@ -148,50 +138,36 @@ def _spider_pairs(arms: tuple[int, ...]) -> list[tuple[VertexId, int]]:
             raise InternalContradictionError(
                 f"spider of order {n} needed {k} > ceil_sqrt rounds"
             )
-        return list(cover_from_schedule(g, schedule).pairs)
-
-    if arms[0] >= 2 * alpha - 1:
-        return _split_longest(arms, alpha)
-
-    if len(arms) == alpha - 1 and arms[0] == alpha + 1 and arms[-1] == alpha + 1:
+        pairs = list(cover_from_schedule(g, schedule).pairs)
+    elif len(arms) == alpha - 1 and arms[0] == alpha + 1 and arms[-1] == alpha + 1:
         # n == alpha**2 exactly; the head ball cannot finish this shape
         pairs = [(arm_vertex(0, 1), alpha - 1)]
         pairs += [(arm_vertex(i, alpha), alpha - 1 - i) for i in range(1, alpha - 1)]
         pairs.append((arm_vertex(0, alpha + 1), 0))
-        return pairs
+    else:
+        pairs = _head_ball(arms, alpha)
+    lift(pairs)
+    return out
 
-    return _head_ball(arms, alpha)
 
+def _split_longest(
+    arms: tuple[int, ...], alpha: int
+) -> tuple[tuple[VertexId, int], list[tuple[int, int]]]:
+    """Split the 2a-1 tip off the longest arm as one radius a-1 ball.
 
-def _split_longest(arms: tuple[int, ...], alpha: int) -> list[tuple[VertexId, int]]:
+    Returns the (center, radius) pair and the surviving arms as (length,
+    index in arms), longest first and ties by index: every other arm, and
+    the stub of the longest arm if one is left.  Survivors keep their
+    positions.
+    """
     longest = arms[0]
     pair = (arm_vertex(0, longest - (alpha - 1)), alpha - 1)
     stub = longest - (2 * alpha - 1)
     survivors = [(arms[i], i) for i in range(1, len(arms))]
     if stub:
         survivors.append((stub, 0))
-    if len(survivors) >= 3:
-        survivors.sort(key=lambda li: (-li[0], li[1]))
-        sub = _spider_pairs(tuple(length for length, _ in survivors))
-        out = [pair]
-        for v, r in sub:
-            if v[0] == "a":
-                out.append((arm_vertex(survivors[v[1]][1], v[2]), r))
-            else:
-                out.append((v, r))
-        return out
-    # two arms and the head left over: a path, tiled and mapped back
-    # (first arm reversed leaf-to-head, then the head, then the second arm)
-    first, second = arms[1], arms[2]
-    out = [pair]
-    for c, r in _path_pairs(first + 1 + second):
-        if c < first:
-            out.append((arm_vertex(1, first - c), r))
-        elif c == first:
-            out.append((HEAD, r))
-        else:
-            out.append((arm_vertex(2, c - first), r))
-    return out
+    survivors.sort(key=lambda li: (-li[0], li[1]))
+    return pair, survivors
 
 
 def _head_ball(arms: tuple[int, ...], alpha: int) -> list[tuple[VertexId, int]]:

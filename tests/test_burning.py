@@ -5,6 +5,7 @@ import math
 import pytest
 
 from conftest import partitions
+from burnkit import burning
 from burnkit.burning import (
     _schedule_fast,
     _schedule_sequential,
@@ -13,7 +14,13 @@ from burnkit.burning import (
     simulate,
     verify_schedule,
 )
-from burnkit.errors import BudgetError, CoverageError, InstanceError, VerificationError
+from burnkit.errors import (
+    BudgetError,
+    CoverageError,
+    InstanceError,
+    InternalContradictionError,
+    VerificationError,
+)
 from burnkit.model import (
     BudgetedCover,
     BurnSchedule,
@@ -144,6 +151,17 @@ def test_slow_burn_exceeding_budget_fails():
 def test_schedule_from_cover_rejects_empty_graph():
     with pytest.raises(InstanceError):
         schedule_from_cover(LabeledGraph([]), BudgetedCover(((c(0, 0), 0),), 1))
+
+
+def test_schedule_from_cover_checks_the_construction(monkeypatch):
+    # The built schedule is simulated independently: a construction whose
+    # claimed completion is off, either way, is an internal fault.
+    g = pf_graph(3)
+    cover = BudgetedCover(((c(0, 1), 1),), 3)  # the center alone burns by round 2
+    for claimed in (1, 3):
+        monkeypatch.setattr(burning, "_schedule_sequential", lambda *a, t=claimed: ([1], t))
+        with pytest.raises(InternalContradictionError):
+            schedule_from_cover(g, cover)
 
 
 def center_cover(orders):

@@ -11,7 +11,6 @@ from burnkit.greedy import (
     greedy_budget,
     greedy_burn,
     greedy_radius,
-    greedy_step,
 )
 from burnkit.model import PathForest, comp_vertex, path_forest_to_graph
 
@@ -38,21 +37,22 @@ def test_radius_rejects_bad_parameters():
 
 
 def test_step_trims_a_long_component():
-    (center, r), rest = greedy_step(PathForest((13, 11, 11)))
-    assert (center, r) == (c(0, 7), 5)
-    assert rest == PathForest((11, 11, 2))
+    pairs, trace = _greedy_pairs(PathForest((13, 11, 11)))
+    assert pairs[0] == (c(0, 7), 5)
+    assert trace.steps[0].action == "remove-neighborhood"
+    assert trace.steps[1].pf_before == PathForest((11, 11, 2))
 
 
 def test_step_removes_a_short_component():
-    (center, r), rest = greedy_step(PathForest((5,)))
-    assert (center, r) == (c(0, 2), 2)
-    assert rest is None
+    pairs, trace = _greedy_pairs(PathForest((5,)))
+    assert pairs == [(c(0, 2), 2)]
+    assert [s.action for s in trace.steps] == ["remove-component"]
 
 
 def test_step_on_a_path_of_four():
-    (center, r), rest = greedy_step(PathForest((4,)))
-    assert (center, r) == (c(0, 2), 1)
-    assert rest == PathForest((1,))
+    pairs, trace = _greedy_pairs(PathForest((4,)))
+    assert pairs[0] == (c(0, 2), 1)
+    assert trace.steps[1].pf_before == PathForest((1,))
 
 
 def test_greedy_trace_on_the_two_regime_instance():
@@ -92,11 +92,17 @@ def test_ties_among_largest_go_to_the_lowest_index():
 
 
 def test_first_pair_matches_single_step():
+    # The first step acts on pf itself: the radius rule on (n, t), then a
+    # largest component removed whole at its leftmost center, or trimmed
+    # at distance r from its high end.
     for orders in ((13, 11, 11), (16,), (6, 6), (1, 1, 1), (9, 4)):
         pf = PathForest(orders)
-        (center, r), _ = greedy_step(pf)
-        pairs, _ = _greedy_pairs(pf)
+        pairs, trace = _greedy_pairs(pf)
+        r = greedy_radius(pf.n, pf.t)
+        a = pf.orders[0]
+        center = c(0, (a - 1) // 2) if a // 2 <= r else c(0, a - 1 - r)
         assert pairs[0] == (center, r)
+        assert trace.steps[0].pf_before == pf
 
 
 def test_burn_on_the_two_regime_instance():

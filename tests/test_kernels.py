@@ -1,19 +1,16 @@
-"""All burn kernels must agree bit for bit, and pick correctly at import.
+"""Both burn kernels must agree with the burning process, bit for bit.
 
-The CSR kernels (pure Python, and compiled when built) run on any graph;
-the closed-form kernel serves path forests and spiders and is checked
-against the pure-Python BFS on every box.
+The CSR kernel runs on any graph and is checked against min_i (i + d(s_i,
+v)), the first-burn round the process defines; the closed-form kernel
+serves path forests and spiders and is checked against the CSR kernel.
 """
 
-import os
 import random
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-from burnkit import _pyburn, engine
+from burnkit import engine
 from burnkit.errors import InstanceError
 from burnkit.model import (
     LabeledGraph,
@@ -23,16 +20,9 @@ from burnkit.model import (
     spider_to_graph,
 )
 
-try:
-    from burnkit import _fastburn
-except ImportError:  # pragma: no cover - source-only install
-    _fastburn = None
 
-CSR_KERNELS = [_pyburn] if _fastburn is None else [_pyburn, _fastburn]
-
-
-def _csr_kernel(module):
-    return lambda g, sources: module.burn_times_csr(*g.csr(), sources)
+def csr(g, sources):
+    return engine.burn_times_csr(*g.csr(), sources)
 
 
 def closed_form(g, sources):
@@ -41,20 +31,11 @@ def closed_form(g, sources):
 
 
 # Each entry burns a LabeledGraph: burn(g, sources) -> first-burn rounds.
-KERNELS = [pytest.param(_csr_kernel(m), id=m.__name__) for m in CSR_KERNELS]
-KERNELS.append(pytest.param(closed_form, id="closed_form"))
+KERNELS = [pytest.param(csr, id="csr"), pytest.param(closed_form, id="closed_form")]
 
 
 def path(n):
     return path_forest_to_graph(PathForest((n,)))
-
-
-def path_csr(n):
-    return path(n).csr()
-
-
-def pyburn(g, sources):
-    return _pyburn.burn_times_csr(*g.csr(), sources)
 
 
 @pytest.mark.parametrize("burn", KERNELS)
@@ -109,7 +90,7 @@ def test_closed_form_matches_bfs_on_random_segment_graphs():
         g = _random_segment_graph(rng)
         # repeats allowed: a repeated source is a no-op ignition
         sources = [rng.randrange(g.order) for _ in range(rng.randint(0, 8))]
-        expected = pyburn(g, sources)
+        expected = csr(g, sources)
         got = closed_form(g, np.asarray(sources, dtype=np.int32))
         assert got.dtype == np.int32
         assert np.array_equal(got, expected), (g.segments.lengths, g.segments.hub, sources)
@@ -121,13 +102,13 @@ def test_closed_form_matches_bfs_on_large_instances():
     forest = path_forest_to_graph(PathForest(tuple(rng.randint(1, 300) for _ in range(40))))
     for g in (path(5000), spider, forest):
         sources = rng.sample(range(g.order), 70)
-        assert np.array_equal(closed_form(g, sources), pyburn(g, sources))
+        assert np.array_equal(closed_form(g, sources), csr(g, sources))
 
 
 def test_closed_form_without_sources_burns_nothing():
     for g in (spider_to_graph(Spider((3, 2, 1))), path_forest_to_graph(PathForest((2, 2)))):
         assert closed_form(g, []).tolist() == [-1] * g.order
-        assert pyburn(g, []).tolist() == [-1] * g.order
+        assert csr(g, []).tolist() == [-1] * g.order
 
 
 def test_closed_form_source_already_burned_at_its_round():
@@ -136,10 +117,10 @@ def test_closed_form_source_already_burned_at_its_round():
     # own ignition, which is then a no-op.
     g = spider_to_graph(Spider((2, 1, 1)))
     assert closed_form(g, [0, 3]).tolist() == [1, 2, 3, 2, 2]
-    assert pyburn(g, [0, 3]).tolist() == [1, 2, 3, 2, 2]
+    assert csr(g, [0, 3]).tolist() == [1, 2, 3, 2, 2]
     # On P5, the second source is reached by the first one's fire in round 2.
     assert closed_form(path(5), [2, 1]).tolist() == [3, 2, 1, 2, 3]
-    assert pyburn(path(5), [2, 1]).tolist() == [3, 2, 1, 2, 3]
+    assert csr(path(5), [2, 1]).tolist() == [3, 2, 1, 2, 3]
 
 
 def test_closed_form_leaves_unreached_components_at_minus_one():
@@ -147,68 +128,59 @@ def test_closed_form_leaves_unreached_components_at_minus_one():
     # components start at indices 0, 4, 7, 9; burn only the second and last
     expected = [-1] * 4 + [2, 1, 2] + [-1] * 2 + [2]
     assert closed_form(g, [5, 9]).tolist() == expected
-    assert pyburn(g, [5, 9]).tolist() == expected
+    assert csr(g, [5, 9]).tolist() == expected
 
 
-def test_closed_form_rejects_out_of_range_sources():
+@pytest.mark.parametrize("burn", KERNELS)
+def test_kernels_reject_out_of_range_sources(burn):
     g = spider_to_graph(Spider((2, 1, 1)))
     for bad in ([-1], [5], [0, 7]):
         with pytest.raises(InstanceError):
-            closed_form(g, bad)
+            burn(g, bad)
 
 
-@pytest.mark.skipif(_fastburn is None, reason="compiled kernel not built")
-def test_kernels_agree_on_random_graphs():
+def _floyd_warshall(n, edges):
+    inf = float("inf")
+    d = [[0 if i == j else inf for j in range(n)] for i in range(n)]
+    for u, v in edges:
+        d[u][v] = d[v][u] = 1
+    for k in range(n):
+        dk = d[k]
+        for di in d:
+            dik = di[k]
+            if dik == inf:
+                continue
+            for j in range(n):
+                if dik + dk[j] < di[j]:
+                    di[j] = dik + dk[j]
+    return d
+
+
+def test_csr_kernel_matches_the_distance_formula_on_random_graphs():
+    # Vertices at or past `core` have no edges, and sources may repeat (a
+    # repeated ignition is a no-op): first burn is still min_i (i + d(s_i, v)).
     rng = random.Random(20240917)
     for _ in range(200):
         n = rng.randint(1, 40)
-        vertices = list(range(n))
+        core = rng.randint(1, n)
         edges = set()
-        for _ in range(rng.randint(0, 2 * n)):
-            u, v = rng.sample(vertices, 2) if n > 1 else (0, 0)
+        for _ in range(rng.randint(0, 2 * core)):
+            u, v = rng.randrange(core), rng.randrange(core)
             if u != v:
                 edges.add((min(u, v), max(u, v)))
-        g = LabeledGraph(vertices, sorted(edges))
-        ip, idx = g.csr()
-        k = rng.randint(0, n)
-        sources = rng.sample(vertices, k)
-        fast = _fastburn.burn_times_csr(ip, idx, sources)
-        pure = _pyburn.burn_times_csr(ip, idx, sources)
-        assert np.array_equal(fast, pure), (n, sorted(edges), sources)
-
-
-@pytest.mark.skipif(_fastburn is None, reason="compiled kernel not built")
-def test_kernels_agree_on_large_path():
-    ip, idx = path_csr(5000)
-    sources = [0, 4999, 2500]
-    fast = _fastburn.burn_times_csr(ip, idx, sources)
-    pure = _pyburn.burn_times_csr(ip, idx, sources)
-    assert np.array_equal(fast, pure)
-
-
-def _kernel_name_in_subprocess(extra_env):
-    env = {k: v for k, v in os.environ.items() if k != "BURNKIT_PURE"}
-    env.update(extra_env)
-    out = subprocess.run(
-        [sys.executable, "-c", "from burnkit import engine; print(engine.KERNEL_NAME)"],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    return out.stdout.strip()
-
-
-def test_pure_env_var_forces_python_kernel():
-    assert _kernel_name_in_subprocess({"BURNKIT_PURE": "1"}) == "python"
-
-
-def test_default_kernel_matches_build():
-    expected = "python" if _fastburn is None else "compiled"
-    assert _kernel_name_in_subprocess({}) == expected
+        g = LabeledGraph(range(n), sorted(edges))
+        sources = [rng.randrange(n) for _ in range(rng.randint(0, n + 3))]
+        dist = _floyd_warshall(n, edges)
+        inf = float("inf")
+        expected = []
+        for v in range(n):
+            first = min((i + dist[s][v] for i, s in enumerate(sources, 1)), default=inf)
+            expected.append(-1 if first == inf else first)
+        got = csr(g, sources)
+        assert got.dtype == np.int32
+        assert got.tolist() == expected, (n, sorted(edges), sources)
 
 
 def test_engine_exports_a_kernel():
-    assert engine.KERNEL_NAME in ("compiled", "python")
-    ip, idx = path_csr(2)
-    assert engine.burn_times_csr(ip, idx, [0]).tolist() == [1, 2]
+    assert engine.KERNEL_NAME == "python"
+    assert csr(path(2), [0]).tolist() == [1, 2]

@@ -2,15 +2,12 @@
 
 import random
 
-import pytest
-
 from conftest import spider_arm_sets
+from burnkit import spider
 from burnkit.burning import verify_schedule
-from burnkit.errors import InstanceError
 from burnkit.gen import random_spider
 from burnkit.model import (
     HEAD,
-    PathForest,
     Spider,
     arm_vertex,
     ceil_sqrt,
@@ -19,10 +16,10 @@ from burnkit.model import (
 )
 from burnkit.spider import (
     _path_pairs,
+    _spider_pairs,
+    _split_longest,
     burn_path,
-    burn_small_spider,
     burn_spider,
-    reduce_long_arm,
 )
 
 
@@ -60,43 +57,63 @@ def test_burn_path_meets_ceil_sqrt_everywhere():
 
 
 def test_reduce_long_arm_chain():
-    pair, rest = reduce_long_arm(Spider((20, 1, 1)))
+    pair, survivors = _split_longest((20, 1, 1), 5)
     assert pair == (a(0, 16), 4)
-    assert rest == Spider((11, 1, 1))
-    pair, rest = reduce_long_arm(rest)
+    assert survivors == [(11, 0), (1, 1), (1, 2)]
+    pair, survivors = _split_longest((11, 1, 1), 4)
     assert pair == (a(0, 8), 3)
-    assert rest == Spider((4, 1, 1))
-    with pytest.raises(InstanceError):
-        reduce_long_arm(rest)
+    assert survivors == [(4, 0), (1, 1), (1, 2)]
 
 
 def test_reduce_long_arm_renumbers_survivors():
-    pair, rest = reduce_long_arm(Spider((20, 8, 8)))
+    # The stub of arm 0 sorts after the two arms of length 8, so it becomes
+    # arm 2 of the remainder, and the cover maps it back to arm 0.
+    pair, survivors = _split_longest((20, 8, 8), 7)
     assert pair == (a(0, 14), 6)
-    assert rest == Spider((8, 8, 7))
+    assert survivors == [(8, 1), (8, 2), (7, 0)]
+    rest = _spider_pairs((8, 8, 7))
+    assert rest == [(a(0, 4), 4), (a(1, 5), 3), (a(2, 5), 2), (a(2, 1), 1), (a(1, 1), 0)]
+    # remainder arms 0, 1, 2 are input arms 1, 2, 0
+    assert _spider_pairs((20, 8, 8)) == [
+        pair,
+        (a(1, 4), 4),
+        (a(2, 5), 3),
+        (a(0, 5), 2),
+        (a(0, 1), 1),
+        (a(2, 1), 0),
+    ]
 
 
 def test_reduce_to_a_path_through_the_head():
     # Longest arm exactly 2a-1 and three arms total: after the trim only two
     # arms and the head survive, which is a single path.
-    pair, rest = reduce_long_arm(Spider((7, 2, 2)))
+    pair, survivors = _split_longest((7, 2, 2), 4)
     assert pair == (a(0, 4), 3)
-    assert rest == PathForest((5,))
+    assert survivors == [(2, 1), (2, 2)]
 
 
 def test_reduce_refuses_short_arms():
-    with pytest.raises(InstanceError):
-        reduce_long_arm(Spider((7, 7, 7)))
+    # a = 6 above order 25: an arm of 2a-1 = 11 is split, one of 10 is not.
+    assert _spider_pairs((11, 10, 10))[0] == (a(0, 6), 5)
+    assert _spider_pairs((10, 10, 10))[0] == (HEAD, 5)
 
 
-def test_small_spider_uses_an_optimal_schedule():
+def test_small_spider_uses_an_optimal_schedule(monkeypatch):
     sp = Spider((1, 1, 1))
-    cover, schedule = burn_small_spider(sp)
+    cover, schedule = burn_spider(sp)
     assert schedule.claimed_time == 2
     assert cover.budget == 2
     assert verify_schedule(spider_to_graph(sp), schedule)
-    with pytest.raises(InstanceError):
-        burn_small_spider(Spider((9, 8, 8)))
+    # The exact search is the base for orders up to 25 and no further.
+    calls = []
+    exact = spider.exact_burning_number
+    monkeypatch.setattr(
+        spider, "exact_burning_number", lambda g: calls.append(g.order) or exact(g)
+    )
+    _spider_pairs((8, 8, 8))
+    assert calls == [25]
+    _spider_pairs((9, 8, 8))
+    assert calls == [25]
 
 
 def check_spider(arms):
@@ -187,3 +204,11 @@ def test_seeded_moderate_spiders_cover_every_branch():
     for _ in range(60):
         sp = random_spider(rng, rng.randint(26, 300))
         check_spider(sp.arms)
+
+
+def test_long_arm_splits_do_not_recurse():
+    # About sqrt(n) splits; one stack frame per split would pass the
+    # default recursion limit.
+    cover, schedule = burn_spider(Spider((400000, 1, 1)))
+    assert cover.budget == 633
+    assert schedule.claimed_time <= 633
