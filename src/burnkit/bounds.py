@@ -21,19 +21,30 @@ from .model import PathForest, ceil_sqrt
 
 
 def lower_bound(pf: PathForest) -> int:
-    return max(ceil_sqrt(pf.n), pf.t)
+    return _lower(ceil_sqrt(pf.n), pf.t)
 
 
 def ub_floor(pf: PathForest) -> int:
-    return pf.n // (2 * pf.t) + pf.t
+    return _ub_floor(pf.n, pf.t)
 
 
 def ub_sqrt(pf: PathForest) -> int | None:
     """None when the bound does not apply (t > ceil(sqrt(n)))."""
-    n, t = pf.n, pf.t
-    if t > ceil_sqrt(n):
-        return None
-    return (ceil_sqrt(4 * n) + t) // 2
+    return _ub_sqrt(ceil_sqrt(pf.n), ceil_sqrt(4 * pf.n), pf.t)
+
+
+# The formulas, on t and the square roots of n that bound_table computes
+# once for all its rows: root = ceil_sqrt(n), root4 = ceil_sqrt(4 n).
+def _lower(root: int, t: int) -> int:
+    return max(root, t)
+
+
+def _ub_floor(n: int, t: int) -> int:
+    return n // (2 * t) + t
+
+
+def _ub_sqrt(root: int, root4: int, t: int) -> int | None:
+    return None if t > root else (root4 + t) // 2
 
 
 @dataclass(frozen=True)
@@ -54,12 +65,11 @@ def bound_table(n: int) -> list[BoundRow]:
     if n < 1:
         raise ValueError("n must be >= 1")
     rows = []
-    root_ceil = ceil_sqrt(n)
-    s4 = ceil_sqrt(4 * n)
+    root, root4 = ceil_sqrt(n), ceil_sqrt(4 * n)
     for t in range(1, n + 1):
-        lower = max(root_ceil, t)
-        ubf = n // (2 * t) + t
-        ubs = (s4 + t) // 2 if t <= root_ceil else None
+        lower = _lower(root, t)
+        ubf = _ub_floor(n, t)
+        ubs = _ub_sqrt(root, root4, t)
         best = ubf if ubs is None else min(ubf, ubs)
         rows.append(BoundRow(t, lower, ubf, ubs, Fraction(best, lower)))
     return rows

@@ -23,9 +23,11 @@ from .errors import (
 )
 from .model import BudgetedCover, BurnSchedule, LabeledGraph, VertexId
 
-# Instances at or below this order always use the literal round-by-round
-# construction; larger ones try the vectorized path first.
-_SEQUENTIAL_CUTOFF = 256
+# Path forests and spiders of at least this order burn through the closed
+# form; below it the BFS is faster, because the closed form has a fixed
+# numpy cost of some 40 us a call.  Measured crossover: order 64 on path
+# forests, about 76 on spiders.
+_CLOSED_FORM_MIN_ORDER = 64
 
 
 def _source_indices(g: LabeledGraph, sources) -> np.ndarray:
@@ -36,9 +38,9 @@ def _source_indices(g: LabeledGraph, sources) -> np.ndarray:
 
 
 def _times_raw(g: LabeledGraph, source_idx: np.ndarray) -> np.ndarray:
-    """First-burn rounds by index: closed form on path forests and spiders."""
+    """First-burn rounds by index: closed form on large path forests and spiders."""
     segments = g.segments
-    if segments is not None:
+    if segments is not None and g.order >= _CLOSED_FORM_MIN_ORDER:
         return engine.burn_times_segments(segments.lengths, segments.hub, source_idx)
     indptr, indices = g.csr()
     return engine.burn_times_csr(indptr, indices, source_idx)
@@ -81,14 +83,16 @@ def cover_from_schedule(g: LabeledGraph, schedule: BurnSchedule) -> BudgetedCove
 def schedule_from_cover(g: LabeledGraph, cover: BudgetedCover) -> BurnSchedule:
     """Turn a feasible cover into a verified schedule of at most budget rounds.
 
-    Centers are ignited in non-increasing radius order (stable among ties).
-    A center already burned at its round is replaced by the smallest unburned
-    vertex (skipped if everything is burned).  After the centers, filler
-    sources (the smallest vertex not yet in the schedule) are appended for
-    every round at whose start the graph was not fully burned, until it is or
-    the budget many sources are placed.  Coverage failures are detected
-    through the outcome: under a covering cover the process provably
-    finishes by round budget.
+    Round j ignites the center of the j-th pair in non-increasing radius
+    order (stable among ties).  A center already burned at its round is
+    replaced by the smallest vertex still unburned after the spread of
+    round j; when there is none, the graph has burned and the construction
+    stops.  After the centers, filler sources (the smallest vertex not yet
+    in the schedule) are appended for every round at whose start the graph
+    was not fully burned, until it is or the budget many sources are
+    placed; the fire then spreads on.  Coverage is judged by the outcome
+    only: CoverageError when the graph burns after round budget or never.
+    Under a covering cover it provably burns by round budget.
 
     The built schedule is simulated once more, independently of the
     construction, and InternalContradictionError is raised unless it
@@ -97,18 +101,11 @@ def schedule_from_cover(g: LabeledGraph, cover: BudgetedCover) -> BurnSchedule:
     if g.order == 0:
         raise InstanceError("cannot schedule on an empty graph")
     order = sorted(range(len(cover.pairs)), key=lambda i: -cover.pairs[i][1])
-    pairs = [cover.pairs[i] for i in order]
+    center_idx = [g.index_of(cover.pairs[i][0]) for i in order]
     M = cover.budget
-    center_idx = [g.index_of(v) for v, _ in pairs]
-
-    if g.order <= _SEQUENTIAL_CUTOFF or len(set(center_idx)) != len(center_idx):
-        sources, claimed = _schedule_sequential(g, center_idx, M)
-    else:
-        fast = _schedule_fast(g, center_idx, M)
-        if fast is None:
-            sources, claimed = _schedule_sequential(g, center_idx, M)
-        else:
-            sources, claimed = fast
+    sources, claimed = _schedule_sequential(g, center_idx, M)
+    if claimed == math.inf:
+        raise CoverageError("cover leaves unreachable vertices unburned")
     if claimed > M:
         raise CoverageError(
             f"cover does not burn the graph within its budget ({claimed} > {M})"
@@ -121,39 +118,37 @@ def schedule_from_cover(g: LabeledGraph, cover: BudgetedCover) -> BurnSchedule:
     return BurnSchedule(tuple(g.vertices[i] for i in sources), claimed)
 
 
-def _schedule_fast(g: LabeledGraph, center_idx: list[int], M: int):
-    """Vectorized construction; returns None when a center would need replacing.
+def _schedule_sequential(g: LabeledGraph, center_idx: list[int], M: int):
+    """Sources and completion round (inf if never) of the construction.
 
-    Sound because with distinct centers, a center c_j is burned at its round
-    j iff one of its neighbors burned by round j-1, and times of neighbors
-    at rounds <= j-1 are unaffected by sources ignited at rounds >= j; so
-    one kernel run over all centers decides every replacement test.
+    One kernel run over all centers seeds every vertex's first-burn round.
+    The rounds are then walked in order, and the seeded rounds stay exact:
+    a center already burned at its round adds nothing, because the fire
+    that reached it dominates its ball, and each replacement or filler is
+    ignited by `improve`, which relaxes only the vertices it burns sooner.
+    A center is burned at its round j iff its round is below j or a
+    neighbor's is below j; rounds below j depend only on the sources
+    ignited before round j.
     """
     indptr, indices = g.csr()
-    k = len(center_idx)
-    times = _times_raw(g, np.asarray(center_idx, np.int32))
-    if (times < 0).any():
-        raise CoverageError("cover leaves unreachable vertices unburned")
-    for j, ci in enumerate(center_idx, start=1):
-        row = indices[indptr[ci]:indptr[ci + 1]]
-        if row.size and int(times[row].min()) <= j - 1:
-            return None
-    top = int(times.max())
-    if top > M:
-        raise CoverageError(
-            f"cover does not burn the graph within its budget ({top} > {M})"
-        )
-
+    n = g.order
+    # Marks the vertices that never burn.  It lies above every round: the
+    # seeded rounds are at most len(center_idx) + n - 1, and every later
+    # ignition is of a distinct vertex, so none comes after round n.
+    never = n + len(center_idx) + 1
+    times = _times_raw(g, np.asarray(center_idx, dtype=np.int32))
+    times[times < 0] = never
     # Histogram of burn times so the running maximum is O(1) to maintain
-    # while fillers improve individual vertices.
-    bins = np.bincount(times, minlength=M + 2)
-    cur_max = top
+    # while ignitions improve individual vertices.
+    bins = np.bincount(times, minlength=never + 1)
+    cur_max = int(times.max())
 
     def improve(w: int, t0: int):
         nonlocal cur_max
-        frontier = [w]
+        bins[times[w]] -= 1
         times[w] = t0
         bins[t0] += 1
+        frontier = [w]
         t = t0
         while frontier:
             t += 1
@@ -166,91 +161,39 @@ def _schedule_fast(g: LabeledGraph, center_idx: list[int], M: int):
                         times[v] = t
                         nxt.append(int(v))
             frontier = nxt
-        while cur_max > 0 and bins[cur_max] == 0:
+        while bins[cur_max] == 0:
             cur_max -= 1
 
-    sources = list(center_idx)
-    visited = set(center_idx)
     canon = g.canonical_order()
-    ptr = 0
-    t = k
-    while cur_max > t and len(sources) < M and ptr < len(canon):
-        t += 1
-        while ptr < len(canon) and int(canon[ptr]) in visited:
-            ptr += 1
-        if ptr >= len(canon):
+    sources: list[int] = []
+    unburned = 0  # every vertex before canon[unburned] has burned by round t
+    t = 0
+    for c in center_idx:
+        if cur_max <= t:
             break
+        t += 1
+        row = indices[indptr[c]:indptr[c + 1]]
+        if times[c] < t or (row.size and int(times[row].min()) < t):
+            while unburned < n and times[canon[unburned]] <= t:
+                unburned += 1
+            if unburned == n:
+                break
+            c = int(canon[unburned])
+            improve(c, t)
+        sources.append(c)
+
+    # A vertex unburned at the start of round t is no source yet, so the
+    # scan for a filler stops before the end of canon.
+    visited = set(sources)
+    ptr = 0
+    while cur_max > t and len(sources) < M:
+        t += 1
+        while int(canon[ptr]) in visited:
+            ptr += 1
         w = int(canon[ptr])
         ptr += 1
         visited.add(w)
         sources.append(w)
         if times[w] > t:
-            bins[times[w]] -= 1
             improve(w, t)
-    return sources, cur_max
-
-
-def _schedule_sequential(g: LabeledGraph, center_idx: list[int], M: int):
-    """Literal round-by-round construction (reference semantics)."""
-    indptr, indices = g.csr()
-    ip = indptr.tolist()
-    idx = indices.tolist()
-    n = g.order
-    canon = [int(i) for i in g.canonical_order()]
-    times = [-1] * n
-    frontier: list[int] = []
-    sources: list[int] = []
-    visited: set[int] = set()
-    burned = 0
-    completion = 0
-    next_center = 0
-    filler_ptr = 0
-    t = 0
-    while burned < n:
-        t += 1
-        progressed = False
-        nxt: list[int] = []
-        for u in frontier:
-            for i in range(ip[u], ip[u + 1]):
-                v = idx[i]
-                if times[v] < 0:
-                    times[v] = t
-                    nxt.append(v)
-        if nxt:
-            burned += len(nxt)
-            completion = t
-            progressed = True
-        if next_center < len(center_idx):
-            c = center_idx[next_center]
-            next_center += 1
-            if times[c] < 0:
-                pick = c
-            else:
-                # replacement: smallest unburned vertex, if any
-                pick = next((w for w in canon if times[w] < 0), None)
-            if pick is not None:
-                sources.append(pick)
-                visited.add(pick)
-                times[pick] = t
-                nxt.append(pick)
-                burned += 1
-                completion = t
-                progressed = True
-        elif len(sources) < M:
-            while filler_ptr < n and canon[filler_ptr] in visited:
-                filler_ptr += 1
-            if filler_ptr < n:
-                w = canon[filler_ptr]
-                filler_ptr += 1
-                sources.append(w)
-                visited.add(w)
-                progressed = True
-                if times[w] < 0:
-                    times[w] = t
-                    nxt.append(w)
-                    burned += 1
-                    completion = t
-        frontier = nxt
-        if not progressed and not frontier:
-            raise CoverageError("cover leaves unreachable vertices unburned")
-    return sources, completion
+    return sources, math.inf if cur_max == never else cur_max

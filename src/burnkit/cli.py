@@ -104,21 +104,33 @@ def _load_graph(path: str) -> LabeledGraph:
 
 
 def _instance(kind: str, spec: list[str]):
-    """(payload stub, graph) for one instance argument vector."""
+    """(payload stub, instance) for one instance argument vector.
+
+    The instance is a PathForest, a Spider, or for kind "graph" the
+    LabeledGraph read from the file.
+    """
     if kind == "pf":
         pf = PathForest(tuple(_ints(spec, "component orders")))
-        return {"kind": kind, "orders": list(pf.orders), "n": pf.n}, pf, path_forest_to_graph(pf)
+        return {"kind": kind, "orders": list(pf.orders), "n": pf.n}, pf
     if kind == "path":
         order = _single_order(spec)
-        pf = PathForest((order,))
-        return {"kind": kind, "order": order, "n": order}, pf, path_forest_to_graph(pf)
+        return {"kind": kind, "order": order, "n": order}, PathForest((order,))
     if kind == "spider":
         sp = Spider(tuple(_ints(spec, "arm lengths")))
-        return {"kind": kind, "arms": list(sp.arms), "n": sp.n}, sp, spider_to_graph(sp)
+        return {"kind": kind, "arms": list(sp.arms), "n": sp.n}, sp
     if len(spec) != 1:
         raise InstanceError("a graph instance is a single edge-list file")
     g = _load_graph(spec[0])
-    return {"kind": kind, "file": spec[0], "n": g.order}, None, g
+    return {"kind": kind, "file": spec[0], "n": g.order}, g
+
+
+def _graph(inst) -> LabeledGraph:
+    """The graph of an instance from _instance."""
+    if isinstance(inst, PathForest):
+        return path_forest_to_graph(inst)
+    if isinstance(inst, Spider):
+        return spider_to_graph(inst)
+    return inst
 
 
 def _emit(payload) -> None:
@@ -126,7 +138,7 @@ def _emit(payload) -> None:
 
 
 def _cmd_burn(args) -> int:
-    payload, inst, _ = _instance(args.kind, args.spec)
+    payload, inst = _instance(args.kind, args.spec)
     if args.kind == "pf":
         cover, schedule, _ = greedy_burn(inst)
     elif args.kind == "path":
@@ -145,7 +157,8 @@ def _cmd_burn(args) -> int:
 
 
 def _cmd_exact(args) -> int:
-    payload, inst, g = _instance(args.kind, args.spec)
+    payload, inst = _instance(args.kind, args.spec)
+    g = _graph(inst)
     if args.kind in ("pf", "path"):
         k, cover = exact_path_forest(inst)
         schedule = schedule_from_cover(g, cover)
@@ -163,7 +176,8 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    payload, _, g = _instance(args.kind, args.spec)
+    payload, inst = _instance(args.kind, args.spec)
+    g = _graph(inst)
     sources = tuple(
         parse_vertex(tok.strip(), args.kind) for tok in args.schedule.split(",")
     )

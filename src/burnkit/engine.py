@@ -7,6 +7,13 @@ burns at min_i (i + d(s_i, v)) and distances are arithmetic, so it is a
 closed form in numpy: the 1-D L1 distance transform (Felzenszwalb &
 Huttenlocher, "Distance transforms of sampled functions", 2012) run over
 each segment, plus a hub term for spiders.
+
+Which runs when: the simulator and the schedule construction
+(burning._times_raw) burn path forests and spiders of order at least
+burning._CLOSED_FORM_MIN_ORDER (64) through the closed form, whose fixed
+numpy cost the BFS undercuts on smaller ones.  Edge-list graphs, smaller
+path forests and spiders, and the exact solvers' distance rows go
+through the BFS.
 """
 
 import numpy as np
@@ -23,11 +30,12 @@ def burn_times_csr(indptr, indices, sources) -> np.ndarray:
     Round t first spreads fire from every vertex burned at round t-1, then
     ignites sources[t-1] if it exists and is still unburned.  Returns an
     int32 array of first-burn rounds, -1 for never burned.  A source
-    index outside [0, n) raises InstanceError.
+    index outside [0, n) raises InstanceError.  Lists are used as given,
+    so a caller burning one graph many times converts its arrays once.
     """
-    ip = indptr.tolist() if hasattr(indptr, "tolist") else list(indptr)
-    idx = indices.tolist() if hasattr(indices, "tolist") else list(indices)
-    src = sources.tolist() if hasattr(sources, "tolist") else list(sources)
+    ip = indptr.tolist() if isinstance(indptr, np.ndarray) else indptr
+    idx = indices.tolist() if isinstance(indices, np.ndarray) else indices
+    src = sources.tolist() if isinstance(sources, np.ndarray) else list(sources)
     n = len(ip) - 1
     k = len(src)
     if k and (min(src) < 0 or max(src) >= n):

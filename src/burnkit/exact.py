@@ -30,8 +30,6 @@ All three return the burning number together with a verified witness.
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import engine
 from .bounds import lower_bound, ub_floor
 from .burning import schedule_from_cover, simulate
@@ -48,11 +46,11 @@ from .model import (
 
 def _distance_rows(g: LabeledGraph, inf: int) -> list[list[int]]:
     """All-pairs distances via the burn kernel (one source burns at 1 + d)."""
-    indptr, indices = g.csr()
+    indptr, indices = (a.tolist() for a in g.csr())
     rows = []
     for i in range(g.order):
-        times = engine.burn_times_csr(indptr, indices, np.asarray([i], dtype=np.int32))
-        rows.append([int(x) - 1 if x >= 1 else inf for x in times])
+        times = engine.burn_times_csr(indptr, indices, [i]).tolist()
+        rows.append([x - 1 if x >= 1 else inf for x in times])
     return rows
 
 

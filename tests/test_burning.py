@@ -1,14 +1,13 @@
 """Simulator semantics and the cover <-> schedule equivalence."""
 
 import math
+import random
 
 import pytest
 
 from conftest import partitions
 from burnkit import burning
 from burnkit.burning import (
-    _schedule_fast,
-    _schedule_sequential,
     cover_from_schedule,
     schedule_from_cover,
     simulate,
@@ -26,11 +25,14 @@ from burnkit.model import (
     BurnSchedule,
     LabeledGraph,
     PathForest,
+    ceil_sqrt,
     comp_vertex,
     path_center,
     path_forest_to_graph,
     path_radius,
+    spider_to_graph,
 )
+from burnkit.gen import random_path_forest, random_spider
 
 
 def pf_graph(*orders):
@@ -200,28 +202,117 @@ def big_cover(orders, budget):
     return BudgetedCover(tuple(pairs), budget)
 
 
+def reference_schedule(g, cover):
+    """(sources, completion) of the construction schedule_from_cover states.
+
+    Built round by round with simulate as the only model of the fire:
+    after the spread of round t, a vertex is burned exactly when its
+    simulated round under the sources chosen so far is at most t.
+    """
+    centers = [v for v, _ in sorted(cover.pairs, key=lambda p: -p[1])]
+    smallest_first = sorted(g.vertices)
+    sources = []
+    t = 0
+    while True:
+        rounds, completion = simulate(g, sources)
+        if completion <= t:
+            break
+        t += 1
+        unburned = [v for v in smallest_first if rounds.get(v, math.inf) > t]
+        if t <= len(centers):
+            if centers[t - 1] in unburned:
+                pick = centers[t - 1]
+            elif unburned:
+                pick = unburned[0]
+            else:
+                break
+        elif len(sources) < cover.budget:
+            pick = next(v for v in smallest_first if v not in sources)
+        else:
+            break
+        sources.append(pick)
+    return sources, simulate(g, sources)[1]
+
+
+def matches_reference(g, cover) -> bool:
+    """Assert schedule_from_cover agrees with the reference; True if it covers."""
+    sources, completion = reference_schedule(g, cover)
+    if completion > cover.budget:
+        reason = "unreachable" if completion == math.inf else "within its budget"
+        with pytest.raises(CoverageError, match=reason):
+            schedule_from_cover(g, cover)
+        return False
+    assert schedule_from_cover(g, cover) == BurnSchedule(tuple(sources), completion)
+    return True
+
+
+def random_cover(rng, g):
+    """Mostly maximal radii on random centers, a fifth of them repeating an
+    earlier center and a fifth adjacent to one; budget and count near
+    sqrt(n)."""
+    root = ceil_sqrt(g.order)
+    budget = root + rng.randint(0, 2 * root)
+    pairs = []
+    for i in range(1, rng.randint(1, budget) + 1):
+        u = rng.random()
+        if pairs and u < 0.2:
+            v = rng.choice(pairs)[0]
+        elif pairs and u < 0.4:
+            v = rng.choice(g.neighbors(rng.choice(pairs)[0]) or (pairs[0][0],))
+        else:
+            v = g.vertices[rng.randrange(g.order)]
+        r = budget - i if rng.random() < 0.8 else rng.randint(0, budget - i)
+        if (v, r) not in pairs:
+            pairs.append((v, r))
+    return BudgetedCover(tuple(pairs), budget)
+
+
 def test_fast_path_matches_sequential_construction():
-    # Orders above the cutoff take the vectorized path; it must produce the
-    # exact same schedule as the round-by-round reference.
+    # Large tilings, above the order at which the kernel changes, give the
+    # same schedule as the round-by-round reference.
     for orders, budget in (((300,), 18), ((200, 80, 40), 19), ((500, 1), 23)):
         g = pf_graph(*orders)
+        assert g.order >= burning._CLOSED_FORM_MIN_ORDER
         cover = big_cover(orders, budget)
-        order = sorted(range(len(cover.pairs)), key=lambda i: -cover.pairs[i][1])
-        centers = [g.index_of(cover.pairs[i][0]) for i in order]
-        fast = _schedule_fast(g, centers, budget)
-        assert fast is not None
-        assert fast == _schedule_sequential(g, centers, budget)
-        schedule = schedule_from_cover(g, cover)
-        assert verify_schedule(g, schedule)
+        assert matches_reference(g, cover)
+        assert verify_schedule(g, schedule_from_cover(g, cover))
 
 
 def test_fast_path_defers_center_replacement():
     # The second center is adjacent to the first, so it is burned before its
-    # own round; the vectorized path bails out and the fallback handles it.
+    # own round and is replaced by the smallest unburned vertex; the third
+    # center is then burned too and is replaced in turn.
     g = pf_graph(300)
     pairs = ((c(0, 150), 149), (c(0, 151), 16), (c(0, 0), 15))
     cover = BudgetedCover(pairs, 151)
-    centers = [g.index_of(v) for v, _ in pairs]
-    assert _schedule_fast(g, centers, 151) is None
+    assert matches_reference(g, cover)
     schedule = schedule_from_cover(g, cover)
+    assert schedule.sources[:3] == (c(0, 150), c(0, 0), c(0, 2))
     assert verify_schedule(g, schedule)
+
+
+def test_schedule_from_cover_matches_the_reference_construction():
+    for n in range(1, 11):
+        for orders in partitions(n):
+            assert matches_reference(pf_graph(*orders), center_cover(orders))
+    # One component is out of every ball's reach, yet fillers burn it in
+    # time; and one radius-0 ball whose path burns from both ends.
+    cover = BudgetedCover(((c(1, 149), 149),), 460)
+    assert matches_reference(pf_graph(300, 299), cover)
+    assert schedule_from_cover(pf_graph(300, 299), cover).claimed_time == 301
+    cover = BudgetedCover(((c(0, 399), 0),), 300)
+    assert matches_reference(pf_graph(400), cover)
+    assert schedule_from_cover(pf_graph(400), cover).claimed_time == 201
+
+    # Seeded covers on both sides of the order at which the kernel changes.
+    rng = random.Random(20261018)
+    cutoff = burning._CLOSED_FORM_MIN_ORDER
+    outcomes = set()
+    for i in range(320):
+        n = rng.randint(4, cutoff - 1) if i % 2 else rng.randint(cutoff, 2 * cutoff)
+        if rng.random() < 0.5:
+            g = path_forest_to_graph(random_path_forest(rng, n, rng.randint(1, min(n, 6))))
+        else:
+            g = spider_to_graph(random_spider(rng, n, rng.randint(3, min(n - 1, 8))))
+        outcomes.add(matches_reference(g, random_cover(rng, g)))
+    assert outcomes == {True, False}
