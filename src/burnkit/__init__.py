@@ -48,7 +48,6 @@ from .model import (
     parse_vertex,
     path_center,
     path_forest_to_graph,
-    path_radius,
     spider_to_graph,
 )
 from .spider import burn_path, burn_spider
@@ -92,7 +91,6 @@ __all__ = [
     "parse_vertex",
     "path_center",
     "path_forest_to_graph",
-    "path_radius",
     "random_path_forest",
     "random_spider",
     "schedule_from_cover",

@@ -18,6 +18,8 @@ import sys
 import time
 from fractions import Fraction
 
+import numpy as np
+
 from .bounds import bound_table, lower_bound
 from .burning import cover_from_schedule, schedule_from_cover, simulate
 from .errors import (
@@ -69,38 +71,31 @@ def _single_order(spec: list[str]) -> int:
 def _load_graph(path: str) -> LabeledGraph:
     """Edge list file: two tokens per edge, one token for an isolated vertex.
 
-    '#' starts a comment.  Repeated edges collapse to one.
+    '#' starts a comment.  Repeated edges collapse to one in either
+    orientation.  Vertices are numbered in order of first appearance.
     """
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InstanceError(f"cannot read graph file: {exc}") from None
-    vertices: list = []
-    seen = set()
-    edges = set()
+    index: dict[str, int] = {}
+    ends: list[int] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        toks = body.split()
+        toks = line.split("#", 1)[0].split()
         if len(toks) > 2:
             raise InstanceError(
                 f"{path}:{lineno}: expected 'u v' or a lone vertex, got {len(toks)} tokens"
             )
-        ids = [graph_vertex(t) for t in toks]
+        ids = [index.setdefault(t, len(index)) for t in toks]
         if len(ids) == 2:
-            u, v = ids
-            if u == v:
+            if ids[0] == ids[1]:
                 raise InstanceError(f"{path}:{lineno}: self loop on {toks[0]!r}")
-            edges.add((min(u, v), max(u, v)))
-        for gv in ids:
-            if gv not in seen:
-                seen.add(gv)
-                vertices.append(gv)
-    if not vertices:
+            ends += ids
+    if not index:
         raise InstanceError(f"{path}: no vertices")
-    return LabeledGraph(tuple(vertices), tuple(sorted(edges)))
+    edges = np.array(ends, dtype=np.int64).reshape(-1, 2)
+    return LabeledGraph(tuple(map(graph_vertex, index)), edges)
 
 
 def _instance(kind: str, spec: list[str]):
@@ -217,6 +212,8 @@ def _cmd_bench(args) -> int:
     count, seed = args.random
     if count < 1:
         raise InstanceError("need a positive instance count")
+    if args.max_n < 1:
+        raise InstanceError("--max-n must be at least 1")
     rng = random.Random(seed)
     rows = []
     for _ in range(count):

@@ -17,7 +17,9 @@ Vertex ids are plain tuples with a total lexicographic order:
 Within one graph only one family of ids appears (plus the head for spiders).
 Path-forest and spider graphs never store their ids: index and id convert
 into each other by arithmetic on the segment layout (see SegmentVertices),
-and an id tuple is built only when it is read.  Graphs from edge lists keep
+and an id tuple is built only when it is read.  Graphs from edge lists come
+from the validated constructor LabeledGraph(vertices, edges), which takes
+the ids as a sequence and the edges as pairs of vertex indices; they keep
 their ids in a tuple and look indices up in a dict.
 """
 
@@ -151,16 +153,10 @@ class Spider:
         return len(self.arms)
 
 
-def path_radius(order: int) -> int:
-    """Radius of a path on `order` vertices: floor(order / 2)."""
-    if order < 1:
-        raise InstanceError("path order must be >= 1")
-    return order // 2
-
 def path_center(order: int) -> int:
     """Leftmost central position of a path on `order` vertices (0-based).
 
-    Its eccentricity equals path_radius(order); for even orders the two
+    Its eccentricity is the path's radius, order // 2; for even orders the two
     central vertices tie and the leftmost is returned.
     """
     if order < 1:
@@ -283,37 +279,47 @@ class SegmentVertices(Sequence):
 class LabeledGraph:
     """Immutable undirected simple graph over VertexIds.
 
-    Adjacency is kept as CSR int32 arrays so the burn kernel can run on
-    large instances.  `vertices` is a tuple for graphs built from edge
-    lists and a SegmentVertices for path forests and spiders.
+    `LabeledGraph(vertices, edges)` is the validated constructor: `vertices`
+    are distinct ids, and `edges` holds pairs (i, j) of vertex indices, as a
+    sequence of pairs or an (m, 2) integer array.  Repeated edges, in either
+    orientation, collapse to one; self loops and indices outside [0, n) are
+    rejected.  Adjacency is kept as CSR int32 arrays with every row sorted,
+    so the burn kernel can run on large instances.  `vertices` is a tuple
+    for graphs built from edge lists and a SegmentVertices for path forests
+    and spiders.
     """
 
     __slots__ = ("vertices", "_indptr", "_indices", "_index", "_canon")
 
     def __init__(self, vertices, edges=()):
         vertices = tuple(vertices)
-        index = {v: i for i, v in enumerate(vertices)}
-        if len(index) != len(vertices):
+        n = len(vertices)
+        index = dict(zip(vertices, range(n)))
+        if len(index) != n:
             raise InstanceError("duplicate vertices")
-        nbr: list[set[int]] = [set() for _ in vertices]
-        for u, v in edges:
-            if u == v:
-                raise InstanceError(f"self-loop at {u!r}")
-            try:
-                ui, vi = index[u], index[v]
-            except KeyError as exc:
-                raise InstanceError(f"edge endpoint {exc.args[0]!r} not a vertex") from None
-            nbr[ui].add(vi)
-            nbr[vi].add(ui)
-        indptr = np.zeros(len(vertices) + 1, dtype=np.int32)
-        for i, s in enumerate(nbr):
-            indptr[i + 1] = indptr[i] + len(s)
-        indices = np.empty(int(indptr[-1]), dtype=np.int32)
-        for i, s in enumerate(nbr):
-            indices[indptr[i]:indptr[i + 1]] = sorted(s)
+        try:
+            ends = np.asarray(edges)  # ValueError when the pairs are ragged
+            if ends.size == 0:
+                ends = np.empty((0, 2), dtype=np.int64)
+            if ends.ndim != 2 or ends.shape[1] != 2 or ends.dtype.kind not in "iu":
+                raise ValueError
+        except ValueError:
+            raise InstanceError("edges must be pairs of integer vertex indices") from None
+        outside = (ends < 0) | (ends >= n)
+        if outside.any():
+            raise InstanceError(f"edge endpoint {ends[outside][0]} not a vertex index in [0, {n})")
+        u, v = ends.astype(np.int64).T
+        loops = np.flatnonzero(u == v)
+        if loops.size:
+            raise InstanceError(f"self-loop at {vertices[u[loops[0]]]!r}")
+        # one code per directed arc, so the unique codes are the CSR entries
+        # in row-major order: rows by source, each row sorted by target
+        arcs = np.unique(np.concatenate([u * n + v, v * n + u]))
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(arcs // n, minlength=n), out=indptr[1:])
         self.vertices = vertices
         self._indptr = indptr
-        self._indices = indices
+        self._indices = (arcs % n).astype(np.int32)
         self._index = index
         self._canon = None
 
@@ -338,10 +344,6 @@ class LabeledGraph:
     def order(self) -> int:
         return len(self.vertices)
 
-    @property
-    def num_edges(self) -> int:
-        return len(self._indices) // 2
-
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         return self._indptr, self._indices
 
@@ -362,11 +364,6 @@ class LabeledGraph:
             order = sorted(range(len(self.vertices)), key=self.vertices.__getitem__)
             self._canon = np.asarray(order, dtype=np.int32)
         return self._canon
-
-    def neighbors(self, v) -> tuple:
-        i = self.index_of(v)
-        lo, hi = int(self._indptr[i]), int(self._indptr[i + 1])
-        return tuple(self.vertices[j] for j in self._indices[lo:hi])
 
 
 def path_forest_to_graph(pf: PathForest) -> LabeledGraph:
@@ -440,6 +437,3 @@ class BudgetedCover:
                     f"radius {r} at sorted position {i} exceeds budget slack "
                     f"{self.budget} - {i}"
                 )
-
-    def sorted_radii(self) -> tuple[int, ...]:
-        return tuple(sorted((r for _, r in self.pairs), reverse=True))

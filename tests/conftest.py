@@ -16,3 +16,10 @@ def spider_arm_sets(max_order):
         for arms in partitions(n - 1):
             if len(arms) >= 3:
                 yield arms
+
+
+def neighbors(g, v):
+    """The ids adjacent to v, read from v's row of the CSR arrays."""
+    indptr, indices = g.csr()
+    i = g.index_of(v)
+    return tuple(g.vertices[j] for j in indices[indptr[i]:indptr[i + 1]])

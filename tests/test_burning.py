@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import partitions
+from conftest import neighbors, partitions
 from burnkit import burning
 from burnkit.burning import (
     cover_from_schedule,
@@ -29,7 +29,6 @@ from burnkit.model import (
     comp_vertex,
     path_center,
     path_forest_to_graph,
-    path_radius,
     spider_to_graph,
 )
 from burnkit.gen import random_path_forest, random_spider
@@ -170,7 +169,7 @@ def center_cover(orders):
     """One center ball per component, budget as small as the slack allows."""
     comps = sorted(range(len(orders)), key=lambda i: -orders[i])
     pairs = tuple(
-        (c(i, path_center(orders[i])), path_radius(orders[i])) for i in comps
+        (c(i, path_center(orders[i])), orders[i] // 2) for i in comps
     )
     budget = max(r + k for k, (_, r) in enumerate(pairs, start=1))
     return BudgetedCover(pairs, budget)
@@ -258,7 +257,7 @@ def random_cover(rng, g):
         if pairs and u < 0.2:
             v = rng.choice(pairs)[0]
         elif pairs and u < 0.4:
-            v = rng.choice(g.neighbors(rng.choice(pairs)[0]) or (pairs[0][0],))
+            v = rng.choice(neighbors(g, rng.choice(pairs)[0]) or (pairs[0][0],))
         else:
             v = g.vertices[rng.randrange(g.order)]
         r = budget - i if rng.random() < 0.8 else rng.randint(0, budget - i)

@@ -3,11 +3,14 @@
 import csv
 import io
 import json
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from burnkit.cli import fmt_ratio, main
+from burnkit.cli import _load_graph, fmt_ratio, main
+from burnkit.errors import InstanceError
 
 
 def run(capsys, *argv):
@@ -94,15 +97,15 @@ def test_graph_file_dedups_edges(capsys, tmp_path):
 
 def test_graph_file_errors(capsys, tmp_path):
     loop = tmp_path / "loop.txt"
-    loop.write_text("x x\n")
+    loop.write_text("a b\n# x x\nx x\n")
     code, _, err = run(capsys, "exact", "graph", str(loop))
-    assert code == 2 and "self loop" in err
+    assert code == 2 and err == f"burnkit: {loop}:3: self loop on 'x'\n"
 
     wide = tmp_path / "wide.txt"
-    wide.write_text("a b c\n")
+    wide.write_text("a b\n\na b c\n")
     code, _, err = run(capsys, "exact", "graph", str(wide))
-    assert code == 2 and "2 tokens" not in err  # message counts the tokens seen
-    assert "3 tokens" in err
+    assert code == 2
+    assert err == f"burnkit: {wide}:3: expected 'u v' or a lone vertex, got 3 tokens\n"
 
     empty = tmp_path / "empty.txt"
     empty.write_text("# nothing here\n")
@@ -111,6 +114,80 @@ def test_graph_file_errors(capsys, tmp_path):
 
     code, _, err = run(capsys, "exact", "graph", str(tmp_path / "absent.txt"))
     assert code == 2 and "cannot read" in err
+
+    latin = tmp_path / "latin.txt"
+    latin.write_bytes(b"a b\n\xff c\n")
+    for argv in (["exact", "graph"], ["verify", "graph", "--schedule", "a"]):
+        code, out, err = run(capsys, *argv, str(latin))
+        assert code == 2 and out == "" and err.startswith("burnkit: cannot read graph file: ")
+
+
+def reference_graph(text):
+    """Vertex ids and CSR arrays of an edge-list text, read as the README
+    describes the format: one 'u v' edge or one lone vertex per line, '#'
+    starts a comment, vertices numbered by first appearance, and repeated
+    edges collapse in either orientation."""
+    order, adj = [], {}
+    for line in text.splitlines():
+        toks = line.split("#", 1)[0].split()
+        for t in toks:
+            if t not in adj:
+                order.append(t)
+                adj[t] = set()
+        if len(toks) == 2:
+            u, v = toks
+            adj[u].add(v)
+            adj[v].add(u)
+    index = {t: i for i, t in enumerate(order)}
+    rows = [sorted(index[w] for w in adj[t]) for t in order]
+    indptr = [0]
+    for row in rows:
+        indptr.append(indptr[-1] + len(row))
+    return tuple(("v", t) for t in order), indptr, [j for row in rows for j in row]
+
+
+def random_edge_list(rng):
+    """Edges repeated in both orientations, lone tokens that may also sit in
+    edges, comments, blank lines, tabs and stray spaces."""
+    names = [f"{rng.choice('xyz')}{i}" for i in rng.sample(range(60), rng.randint(1, 25))]
+    lines = []
+    for _ in range(rng.randint(1, 50)):
+        kind = rng.random()
+        sep = rng.choice([" ", "\t", "  ", " \t "])
+        if kind < 0.1:
+            lines.append(rng.choice(["", "   ", "\t"]))
+        elif kind < 0.2:
+            lines.append(f"# {rng.choice(names)} {rng.choice(names)}")
+        elif kind < 0.35 or len(names) == 1:
+            lines.append(f"{sep}{rng.choice(names)}{rng.choice(['', ' # lone', '#'])}")
+        else:
+            u, v = rng.sample(names, 2)
+            lines.append(f"{u}{sep}{v}{rng.choice(['', sep, '  # edge'])}")
+            if rng.random() < 0.3:
+                lines.append(rng.choice([f"{v} {u}", f"{u}\t{v}"]))
+    return "\n".join(lines) + rng.choice(["", "\n"])
+
+
+def test_graph_file_build_matches_a_set_based_reference(tmp_path):
+    rng = random.Random(20261018)
+    target = tmp_path / "g.txt"
+    for _ in range(250):
+        text = random_edge_list(rng)
+        target.write_text(text)
+        vertices, indptr, indices = reference_graph(text)
+        if not vertices:
+            with pytest.raises(InstanceError, match="no vertices"):
+                _load_graph(str(target))
+            continue
+        g = _load_graph(str(target))
+        got_indptr, got_indices = g.csr()
+        assert g.vertices == vertices, text
+        assert got_indptr.dtype == np.int32 and got_indices.dtype == np.int32
+        assert got_indptr.tolist() == indptr, text
+        assert got_indices.tolist() == indices, text
+        for i in range(g.order):
+            row = got_indices[got_indptr[i]:got_indptr[i + 1]]
+            assert np.all(np.diff(row) > 0), text
 
 
 def test_verify_accepts_a_good_schedule(capsys):
@@ -249,3 +326,4 @@ def test_usage_errors(capsys):
     assert run(capsys, "burn", "graph", "whatever")[0] == 2
     assert run(capsys, "burn", "path", "4", "5")[0] == 2
     assert run(capsys, "bench", "--random", "0", "1")[0] == 2
+    assert run(capsys, "bench", "--random", "3", "1", "--max-n", "0")[0] == 2

@@ -36,12 +36,11 @@ def test_path_forest_witness_is_a_real_cover():
     for orders in ((13, 11, 11), (9, 4), (5, 5, 5), (2, 2, 2, 2)):
         pf = PathForest(orders)
         k, cover = exact_path_forest(pf)
-        radii = cover.sorted_radii()
-        # distinct radii, largest first, all below k (so the budget fits
-        # even when fewer than k balls suffice)
+        radii = sorted(r for _, r in cover.pairs)
+        # distinct radii, all below k (so the budget fits even when fewer
+        # than k balls suffice)
         assert len(set(radii)) == len(radii)
         assert all(r < k for r in radii)
-        assert radii == tuple(sorted(radii, reverse=True))
         g = path_forest_to_graph(pf)
         schedule = schedule_from_cover(g, cover)
         assert schedule.claimed_time <= k

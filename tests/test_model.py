@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import neighbors
+
 from burnkit import (
     HEAD,
     InstanceError,
@@ -16,7 +18,6 @@ from burnkit import (
     parse_vertex,
     path_center,
     path_forest_to_graph,
-    path_radius,
     spider_to_graph,
 )
 
@@ -54,9 +55,9 @@ def test_path_center_and_radius_against_bfs():
     # brute-force eccentricities on an explicit path
     for order in range(1, 201):
         eccs = [max(abs(i - j) for j in range(order)) for i in range(order)]
-        assert path_radius(order) == min(eccs)
+        assert order // 2 == min(eccs)  # the radius
         c = path_center(order)
-        assert eccs[c] == path_radius(order)
+        assert eccs[c] == min(eccs)
         assert all(eccs[i] > eccs[c] for i in range(c))  # leftmost such vertex
 
 
@@ -79,9 +80,9 @@ def test_path_forest_graph_shape():
     pf = PathForest((4, 2, 1))
     g = path_forest_to_graph(pf)
     assert g.order == 7
-    assert g.num_edges == 7 - 3  # n - t edges in a path forest
-    assert set(g.neighbors(comp_vertex(0, 1))) == {comp_vertex(0, 0), comp_vertex(0, 2)}
-    assert g.neighbors(comp_vertex(2, 0)) == ()
+    assert len(g.csr()[1]) // 2 == 7 - 3  # n - t edges in a path forest
+    assert neighbors(g, comp_vertex(0, 1)) == (comp_vertex(0, 0), comp_vertex(0, 2))
+    assert neighbors(g, comp_vertex(2, 0)) == ()
     assert list(g.canonical_order()) == list(range(7))
 
 
@@ -89,11 +90,11 @@ def test_spider_graph_shape():
     sp = Spider((3, 2, 1))
     g = spider_to_graph(sp)
     assert g.order == 7
-    assert g.num_edges == 6  # a tree
-    indptr, _ = g.csr()
+    indptr, indices = g.csr()
+    assert len(indices) // 2 == 6  # a tree
     assert indptr[1] - indptr[0] == 3  # the head, index 0, has degree 3
-    assert set(g.neighbors(HEAD)) == {arm_vertex(0, 1), arm_vertex(1, 1), arm_vertex(2, 1)}
-    assert g.neighbors(arm_vertex(0, 3)) == (arm_vertex(0, 2),)
+    assert neighbors(g, HEAD) == (arm_vertex(0, 1), arm_vertex(1, 1), arm_vertex(2, 1))
+    assert neighbors(g, arm_vertex(0, 3)) == (arm_vertex(0, 2),)
     # canonical order visits arm vertices first, head last
     canon = g.canonical_order()
     assert g.vertices[canon[-1]] == HEAD
@@ -105,7 +106,7 @@ def test_labeled_graph_from_edges_matches_builder():
     edges = []
     for comp, a in enumerate(pf.orders):
         edges += [(comp_vertex(comp, i), comp_vertex(comp, i + 1)) for i in range(a - 1)]
-    slow = LabeledGraph(fast.vertices, tuple(edges))
+    slow = LabeledGraph(fast.vertices, [(fast.index_of(u), fast.index_of(v)) for u, v in edges])
     ip_f, idx_f = fast.csr()
     ip_s, idx_s = slow.csr()
     assert np.array_equal(ip_f, ip_s)
@@ -113,11 +114,24 @@ def test_labeled_graph_from_edges_matches_builder():
 
 
 def test_labeled_graph_rejects_bad_edges():
-    v = (graph_vertex("a"), graph_vertex("b"))
-    with pytest.raises(InstanceError):
-        LabeledGraph(v, ((graph_vertex("a"), graph_vertex("zzz")),))
-    with pytest.raises(InstanceError):
-        LabeledGraph((graph_vertex("a"), graph_vertex("a")), ())
+    v = (graph_vertex("a"), graph_vertex("b"), graph_vertex("c"))
+    bad = {
+        "not a vertex index": [((0, 3),), ((-1, 1),), np.array([[0, 1], [2, 5]])],
+        r"self-loop at \('v', 'b'\)": [((0, 1), (1, 1))],
+        "integer vertex indices": [
+            ((0, 1.0),), ((0.5, 1),), ((v[0], v[1]),), ((0, 1, 2),), ((0, 1), (2,)),
+        ],
+    }
+    for message, cases in bad.items():
+        for edges in cases:
+            with pytest.raises(InstanceError, match=message):
+                LabeledGraph(v, edges)
+    with pytest.raises(InstanceError, match="duplicate vertices"):
+        LabeledGraph((graph_vertex("a"), graph_vertex("b"), graph_vertex("a")), ())
+    # index pairs as a list or an array; repeats in either orientation collapse
+    for edges in ([(2, 0), (0, 2), (1, 2)], np.array([[2, 0], [0, 2], [1, 2]], dtype=np.int32)):
+        indptr, indices = LabeledGraph(v, edges).csr()
+        assert indptr.tolist() == [0, 1, 2, 4] and indices.tolist() == [2, 2, 0, 1]
 
 
 def test_labeled_graph_lookup():
@@ -214,7 +228,7 @@ def test_spider_graph_matches_the_validated_constructor():
     edges = [(HEAD, arm_vertex(arm, 1)) for arm in range(sp.m)]
     for arm, length in enumerate(sp.arms):
         edges += [(arm_vertex(arm, j), arm_vertex(arm, j + 1)) for j in range(1, length)]
-    slow = LabeledGraph(fast.vertices, tuple(edges))
+    slow = LabeledGraph(fast.vertices, [(fast.index_of(u), fast.index_of(v)) for u, v in edges])
     for a, b in zip(fast.csr(), slow.csr()):
         assert a.dtype == b.dtype and np.array_equal(a, b)
     canon = sorted(range(slow.order), key=slow.vertices.__getitem__)

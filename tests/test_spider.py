@@ -28,7 +28,7 @@ def a(arm, pos):
 
 
 def radii_of(cover):
-    return cover.sorted_radii()
+    return tuple(sorted((r for _, r in cover.pairs), reverse=True))
 
 
 def test_path_tiling_positions():
