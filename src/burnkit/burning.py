@@ -65,10 +65,17 @@ def simulate(g: LabeledGraph, sources) -> tuple[dict, int | float]:
     return burn_time, _completion(times)
 
 
+def completion(g: LabeledGraph, sources) -> int | float:
+    """The round by which the sources burn all of g (inf if never).
+
+    simulate's second value, without its {vertex: round} map.
+    """
+    return _completion(_times_raw(g, _source_indices(g, sources)))
+
+
 def verify_schedule(g: LabeledGraph, schedule: BurnSchedule) -> bool:
     """True iff the schedule burns every vertex of g by round claimed_time."""
-    times = _times_raw(g, _source_indices(g, schedule.sources))
-    return _completion(times) <= schedule.claimed_time
+    return completion(g, schedule.sources) <= schedule.claimed_time
 
 
 def cover_from_schedule(g: LabeledGraph, schedule: BurnSchedule) -> BudgetedCover:

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bounds import bound_table, lower_bound
-from .burning import cover_from_schedule, schedule_from_cover, simulate
+from .burning import completion, cover_from_schedule, schedule_from_cover
 from .errors import (
     BurnkitError,
     InstanceError,
@@ -178,12 +178,12 @@ def _cmd_verify(args) -> int:
     )
     rounds = args.rounds if args.rounds is not None else len(sources)
     schedule = BurnSchedule(sources, rounds)
-    _, completion = simulate(g, schedule.sources)
-    ok = completion <= schedule.claimed_time
+    done = completion(g, schedule.sources)
+    ok = done <= schedule.claimed_time
     payload.update(
         schedule=[format_vertex(v) for v in sources],
         rounds=rounds,
-        completion=None if completion == float("inf") else int(completion),
+        completion=None if done == float("inf") else int(done),
         verified=ok,
     )
     _emit(payload)

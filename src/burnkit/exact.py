@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from . import engine
 from .bounds import lower_bound, ub_floor
-from .burning import schedule_from_cover, simulate
+from .burning import completion, schedule_from_cover
 from .errors import InstanceError, InternalContradictionError, SizeGuardError
 from .model import (
     BudgetedCover,
@@ -254,8 +254,7 @@ def naive_schedule_search(
         if found is None:
             continue
         sources = tuple(g.vertices[i] for i in found)
-        _, completion = simulate(g, sources)
-        if completion > k:
+        if completion(g, sources) > k:
             raise InternalContradictionError("search accepted a late schedule")
         return k, BurnSchedule(sources, k)
     raise InternalContradictionError("no schedule of length n found")

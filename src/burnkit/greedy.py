@@ -13,6 +13,15 @@ component (this implementation trims the high-position end, so surviving
 windows always start at position 0).  Ties among largest components go to
 the lowest component index.
 
+The loop keeps the live components in a heap keyed on (-remaining order,
+original index), whose top is the component the tie rule picks, and keeps
+n and t as running counts.  A step therefore costs O(log t), not a sort of
+every live component, and a run of s steps O(t + s log t); s is at most
+the floor bound below, about n/(2t) + t.  The trace stores only each
+step's radius, action and center next to the input forest; the forest a
+step acted on is recomputed, by replaying the earlier steps, only when it
+is asked for (GreedyTrace.forest_before).
+
 The removal radii taken in step order always fit under the floor upper
 bound of the initial instance, one budget slot per step, so the collected
 (center, radius) pairs form a feasible cover; the published budget M uses
@@ -24,6 +33,7 @@ times its true burning number.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heapreplace
 from math import isqrt
 
 from .bounds import ub_floor, ub_sqrt
@@ -50,7 +60,6 @@ def greedy_radius(n: int, t: int) -> int:
 
 @dataclass(frozen=True)
 class GreedyStep:
-    pf_before: PathForest
     r: int
     action: str  # "remove-component" | "remove-neighborhood"
     center: VertexId
@@ -58,37 +67,58 @@ class GreedyStep:
 
 @dataclass(frozen=True)
 class GreedyTrace:
+    forest: PathForest
     steps: tuple[GreedyStep, ...]
+
+    def forest_before(self, i: int) -> PathForest:
+        """The remaining forest that step i acted on.
+
+        Replays steps 0..i-1 on the input forest: a removed component
+        drops out, a trimmed one loses 2r+1 vertices.  O(t + i) per call.
+        """
+        if not 0 <= i < len(self.steps):
+            raise IndexError(f"step {i} out of range for {len(self.steps)} steps")
+        orders = list(self.forest.orders)
+        for step in self.steps[:i]:
+            c = step.center[1]
+            if step.action == "remove-component":
+                orders[c] = 0
+            else:
+                orders[c] -= 2 * step.r + 1
+        return PathForest(tuple(a for a in orders if a))
 
 
 def _greedy_pairs(pf: PathForest) -> tuple[list[tuple[VertexId, int]], GreedyTrace]:
     """Run the greedy loop, keeping centers in the coordinates of pf itself.
 
-    Components are tracked as (original index, remaining order); trims only
-    ever shorten the high end, so a surviving window is positions
+    Components live in a heap of (-remaining order, original index), so
+    heap[0] is a largest one with the lowest index; trims only ever
+    shorten the high end, so a surviving window is positions
     0..remaining-1 of its original component.
     """
-    live = [[c, a] for c, a in enumerate(pf.orders)]
+    heap = [(-a, c) for c, a in enumerate(pf.orders)]
+    heapify(heap)
+    n, t = pf.n, pf.t
     pairs: list[tuple[VertexId, int]] = []
     steps: list[GreedyStep] = []
-    while live:
-        n = sum(a for _, a in live)
-        t = len(live)
+    while heap:
         r = greedy_radius(n, t)
-        live.sort(key=lambda ca: (-ca[1], ca[0]))
-        before = PathForest(tuple(a for _, a in live))
-        c, a = live[0]
+        neg_a, c = heap[0]
+        a = -neg_a
         if a // 2 <= r:
             center = comp_vertex(c, path_center(a))
             action = "remove-component"
-            live.pop(0)
+            heappop(heap)
+            n -= a
+            t -= 1
         else:
             center = comp_vertex(c, a - 1 - r)
             action = "remove-neighborhood"
-            live[0][1] = a - (2 * r + 1)
+            heapreplace(heap, (neg_a + 2 * r + 1, c))
+            n -= 2 * r + 1
         pairs.append((center, r))
-        steps.append(GreedyStep(before, r, action, center))
-    return pairs, GreedyTrace(tuple(steps))
+        steps.append(GreedyStep(r, action, center))
+    return pairs, GreedyTrace(pf, tuple(steps))
 
 
 def greedy_budget(pf: PathForest) -> int:

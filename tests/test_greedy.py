@@ -1,5 +1,8 @@
 """Greedy burner: radius rule, step mechanics, traces, budget fit."""
 
+import random
+from math import isqrt
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +15,8 @@ from burnkit.greedy import (
     greedy_burn,
     greedy_radius,
 )
-from burnkit.model import PathForest, comp_vertex, path_forest_to_graph
+from burnkit.gen import random_path_forest
+from burnkit.model import PathForest, ceil_sqrt, comp_vertex, path_forest_to_graph
 
 
 def c(comp, pos):
@@ -40,7 +44,7 @@ def test_step_trims_a_long_component():
     pairs, trace = _greedy_pairs(PathForest((13, 11, 11)))
     assert pairs[0] == (c(0, 7), 5)
     assert trace.steps[0].action == "remove-neighborhood"
-    assert trace.steps[1].pf_before == PathForest((11, 11, 2))
+    assert trace.forest_before(1) == PathForest((11, 11, 2))
 
 
 def test_step_removes_a_short_component():
@@ -52,7 +56,7 @@ def test_step_removes_a_short_component():
 def test_step_on_a_path_of_four():
     pairs, trace = _greedy_pairs(PathForest((4,)))
     assert pairs[0] == (c(0, 2), 1)
-    assert trace.steps[1].pf_before == PathForest((1,))
+    assert trace.forest_before(1) == PathForest((1,))
 
 
 def test_greedy_trace_on_the_two_regime_instance():
@@ -66,7 +70,7 @@ def test_greedy_trace_on_the_two_regime_instance():
         (c(1, 0), 2),
         (c(2, 0), 1),
     ]
-    assert [s.pf_before.orders for s in trace.steps] == [
+    assert [trace.forest_before(i).orders for i in range(len(trace.steps))] == [
         (13, 11, 11),
         (11, 11, 2),
         (11, 2, 2),
@@ -83,6 +87,9 @@ def test_greedy_trace_on_the_two_regime_instance():
         "remove-component",
     ]
     assert [s.r for s in trace.steps] == [5, 4, 4, 3, 2, 1]
+    for i in (-1, 6):
+        with pytest.raises(IndexError):
+            trace.forest_before(i)
 
 
 def test_ties_among_largest_go_to_the_lowest_index():
@@ -102,7 +109,92 @@ def test_first_pair_matches_single_step():
         a = pf.orders[0]
         center = c(0, (a - 1) // 2) if a // 2 <= r else c(0, a - 1 - r)
         assert pairs[0] == (center, r)
-        assert trace.steps[0].pf_before == pf
+        assert trace.forest_before(0) == pf
+
+
+def reference_greedy(pf):
+    """The greedy loop as the module docstring states it, one sort per step.
+
+    Returns the pairs, each step's (r, action, center) and the remaining
+    forest each step acted on.
+    """
+    live = [[comp, a] for comp, a in enumerate(pf.orders)]
+    pairs, steps, before = [], [], []
+    while live:
+        n = sum(a for _, a in live)
+        t = len(live)
+        r = n // (2 * t) + t - 1 if t >= isqrt(n) else ceil_sqrt(n) - 1
+        live.sort(key=lambda ca: (-ca[1], ca[0]))
+        before.append(PathForest(tuple(a for _, a in live)))
+        comp, a = live[0]
+        if a // 2 <= r:
+            center, action = c(comp, (a - 1) // 2), "remove-component"
+            live.pop(0)
+        else:
+            center, action = c(comp, a - 1 - r), "remove-neighborhood"
+            live[0][1] = a - (2 * r + 1)
+        pairs.append((center, r))
+        steps.append((r, action, center))
+    return pairs, steps, before
+
+
+def assert_matches_reference(pf, rng=None):
+    """Compare _greedy_pairs with the reference.
+
+    forest_before is checked at every step or, given an rng, at the first,
+    the last and three random steps, since each replay costs O(i).
+    """
+    pairs, trace = _greedy_pairs(pf)
+    ref_pairs, ref_steps, ref_before = reference_greedy(pf)
+    assert pairs == ref_pairs, pf
+    assert [(s.r, s.action, s.center) for s in trace.steps] == ref_steps, pf
+    assert trace.forest == pf
+    last = len(ref_steps) - 1
+    checked = range(last + 1) if rng is None else {0, last, *(rng.randint(0, last) for _ in range(3))}
+    for i in checked:
+        assert trace.forest_before(i) == ref_before[i], (pf, i)
+    return ref_before
+
+
+def test_heap_loop_matches_the_reference_on_every_small_forest():
+    count = 0
+    for n in range(1, 17):
+        for orders in partitions(n):
+            assert_matches_reference(PathForest(orders))
+            count += 1
+    assert count == 914
+
+
+def test_heap_loop_matches_the_reference_on_random_forests():
+    # Half the forests draw their orders from a pool of three values, so
+    # most steps choose among tied largest components; t ranges on both
+    # sides of isqrt(n), so both radius rules fire.
+    crowded = sparse = ties = 0
+    for seed in range(320):
+        rng = random.Random(seed)
+        n = rng.randint(1, 5000)
+        t = rng.randint(1, min(n, 3 * isqrt(n)))
+        if seed % 2:
+            pool = [rng.randint(1, max(1, n // t)) for _ in range(3)]
+            pf = PathForest(tuple(rng.choice(pool) for _ in range(t)))
+        else:
+            pf = random_path_forest(rng, n, t)
+        for f in assert_matches_reference(pf, rng):
+            crowded += f.t >= isqrt(f.n)
+            sparse += f.t < isqrt(f.n)
+            ties += f.t > 1 and f.orders[0] == f.orders[1]
+    # 25,156 steps: 22,196 crowded, 2,960 sparse, 17,261 among tied orders.
+    assert crowded > 20000 and sparse > 2000 and ties > 15000
+
+
+def test_burn_with_twenty_thousand_components():
+    # A loop that sorts the live components at every step takes about
+    # 80 s on this instance, against well under a second on the heap.  No
+    # wall-clock assertion: a quadratic loop shows in the suite's runtime.
+    pf = random_path_forest(random.Random(2), 200000, 20000)
+    cover, schedule, trace = greedy_burn(pf)
+    assert schedule.claimed_time <= cover.budget
+    assert len(trace.steps) == len(cover.pairs)
 
 
 def test_burn_on_the_two_regime_instance():
