@@ -22,12 +22,11 @@ class VerificationError(BurnkitError, ValueError):
 
 
 class SizeGuardError(BurnkitError, ValueError):
-    """An exact solver was asked for an instance above its size guard."""
+    """An exact solver's instance is past its order guard or its search budget."""
 
 
 class InternalContradictionError(BurnkitError, AssertionError):
     """A constructive burner produced a cover that fails its own guarantee.
 
-    Raised only when the failure cannot be repaired by the exact fallback;
-    it indicates a bug rather than a bad input.
+    It indicates a bug rather than a bad input.
     """

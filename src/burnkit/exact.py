@@ -16,7 +16,8 @@ Three independent routes to the optimum:
   be distributed among the components with every component getting at
   least its order.  Feasibility is decided by a largest-first assignment
   search over residual demands and is monotone in k, so the scan starts at
-  the lower bound and stops at the first hit.
+  the lower bound and stops at the first hit.  A node budget, shared by
+  the scans of one call, bounds the search; past it the solver raises.
 
 * naive_schedule_search: direct search over ignition sequences.  Kept
   deliberately close to the process definition so it can arbitrate if the
@@ -43,6 +44,21 @@ from .model import (
     path_center,
 )
 
+# Order guards: each solver raises SizeGuardError above its order.
+_COVER_MAX_ORDER = 40
+_PATH_FOREST_MAX_ORDER = 400
+_NAIVE_MAX_ORDER = 12
+
+# Search nodes _assign_intervals may visit over one exact_path_forest call
+# before it raises SizeGuardError.  A node count, not a clock, so the
+# outcome is the same on every machine.
+_NODE_BUDGET = 1_000_000
+
+
+def _guard_order(n: int, limit: int, search: str) -> None:
+    if n > limit:
+        raise SizeGuardError(f"{search} limited to order {limit}, got {n}")
+
 
 def _distance_rows(g: LabeledGraph, inf: int) -> list[list[int]]:
     """All-pairs distances via the burn kernel (one source burns at 1 + d)."""
@@ -68,17 +84,12 @@ def _component_count(dist: list[list[int]], inf: int) -> int:
     return comps
 
 
-def exact_burning_number(
-    g: LabeledGraph, *, max_order: int = 40
-) -> tuple[int, BurnSchedule]:
+def exact_burning_number(g: LabeledGraph) -> tuple[int, BurnSchedule]:
     """Burning number of g with a verified optimal schedule as witness."""
     n = g.order
     if n == 0:
         raise InstanceError("cannot burn an empty graph")
-    if n > max_order:
-        raise SizeGuardError(
-            f"exact search limited to order {max_order}, got {n}"
-        )
+    _guard_order(n, _COVER_MAX_ORDER, "exact search")
     inf = n + 1
     dist = _distance_rows(g, inf)
     ecc = [max(d for d in row if d < inf) for row in dist]
@@ -145,24 +156,20 @@ def _cover_search(
     return None
 
 
-def exact_path_forest(
-    pf: PathForest, *, max_order: int = 400
-) -> tuple[int, BudgetedCover]:
+def exact_path_forest(pf: PathForest) -> tuple[int, BudgetedCover]:
     """Burning number of a path forest with a witness cover."""
-    if pf.n > max_order:
-        raise SizeGuardError(
-            f"exact path-forest search limited to order {max_order}, got {pf.n}"
-        )
+    _guard_order(pf.n, _PATH_FOREST_MAX_ORDER, "exact path-forest search")
     ub = ub_floor(pf)
+    nodes = [0]
     for k in range(lower_bound(pf), ub + 1):
-        choice = _assign_intervals(pf.orders, k)
+        choice = _assign_intervals(pf.orders, k, nodes)
         if choice is not None:
             return k, _cover_from_assignment(pf, choice, k)
     raise InternalContradictionError(f"no cover within the floor bound {ub}")
 
 
 def _assign_intervals(
-    orders: tuple[int, ...], k: int
+    orders: tuple[int, ...], k: int, nodes: list[int]
 ) -> list[tuple[int, int]] | None:
     """Distribute interval lengths 2k-1, 2k-3, ... over components.
 
@@ -170,7 +177,9 @@ def _assign_intervals(
     (component, radius) picks in assignment order, or None.  Skipping an
     interval while any component is still short is never useful, so the
     search only ever assigns the next-largest interval to some pending
-    component, branching once per distinct residual.
+    component, branching once per distinct residual.  nodes[0] counts the
+    search nodes visited, carried over from earlier k; past _NODE_BUDGET
+    the search raises SizeGuardError.
     """
     sizes = [2 * j + 1 for j in range(k - 1, -1, -1)]
     suffix = [0] * (k + 1)
@@ -181,6 +190,11 @@ def _assign_intervals(
     picks: list[tuple[int, int]] = []
 
     def dfs(i: int, state: tuple[tuple[int, int], ...]) -> bool:
+        nodes[0] += 1
+        if nodes[0] > _NODE_BUDGET:
+            raise SizeGuardError(
+                f"exact path-forest search gave up after {_NODE_BUDGET} nodes"
+            )
         if not state:
             return True
         if i == k or k - i < len(state):
@@ -232,9 +246,7 @@ def _cover_from_assignment(
     return BudgetedCover(tuple(pairs), k)
 
 
-def naive_schedule_search(
-    g: LabeledGraph, *, max_order: int = 12
-) -> tuple[int, BurnSchedule]:
+def naive_schedule_search(g: LabeledGraph) -> tuple[int, BurnSchedule]:
     """Burning number by plain search over ignition sequences.
 
     Independent of the cover characterization: it never converts to balls,
@@ -243,10 +255,7 @@ def naive_schedule_search(
     n = g.order
     if n == 0:
         raise InstanceError("cannot burn an empty graph")
-    if n > max_order:
-        raise SizeGuardError(
-            f"naive search limited to order {max_order}, got {n}"
-        )
+    _guard_order(n, _NAIVE_MAX_ORDER, "naive search")
     inf = 10**9
     dist = _distance_rows(g, inf)
     for k in range(1, n + 1):

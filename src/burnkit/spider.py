@@ -7,7 +7,6 @@ since the ball sizes sum to b*b >= order.
 burn_spider reduces a spider (head vertex plus m >= 3 pendant paths) to a
 cover within budget a = ceil_sqrt(n):
 
-* order <= 25: take an exact optimal schedule and restate it as a cover.
 * some arm has length >= 2a-1: one radius a-1 ball removes the 2a-1 tip
   vertices of the longest arm; the remainder (a smaller spider, or a path
   through the head once only two arms survive) has ceil-sqrt at most a-1,
@@ -21,7 +20,8 @@ cover within budget a = ceil_sqrt(n):
   tails (lengths h_i = a_i - (a-1) <= a-1, for arms with a_i >= a).  With
   t residuals: t <= a/2 or t == a-1 gives each residual its own ball of
   radius a-1-k; odd a with 2t == a+1 does the same except the last
-  residual takes a radius (a-3)/2 ball plus a radius 1 ball at its leaf;
+  residual takes a radius (a-3)/2 ball, plus a radius 0 ball at its leaf
+  when that ball stops one short of it;
   for the t in between, the residuals form a path forest whose greedy
   cover fits under a-1, so the greedy burner is delegated to.
 
@@ -35,9 +35,8 @@ from __future__ import annotations
 from itertools import takewhile
 
 from .bounds import ub_floor
-from .burning import cover_from_schedule, schedule_from_cover
+from .burning import schedule_from_cover
 from .errors import InternalContradictionError
-from .exact import exact_burning_number
 from .greedy import _greedy_pairs
 from .model import (
     HEAD,
@@ -52,8 +51,6 @@ from .model import (
     path_forest_to_graph,
     spider_to_graph,
 )
-
-_EXACT_BASE = 25
 
 
 def _path_pairs(order: int) -> list[tuple[int, int]]:
@@ -110,7 +107,7 @@ def _spider_pairs(arms: tuple[int, ...]) -> list[tuple[VertexId, int]]:
     while True:
         n = 1 + sum(arms)
         alpha = ceil_sqrt(n)
-        if n <= _EXACT_BASE or arms[0] < 2 * alpha - 1:
+        if arms[0] < 2 * alpha - 1:
             break
         pair, survivors = _split_longest(arms, alpha)
         lift([pair])
@@ -131,15 +128,7 @@ def _spider_pairs(arms: tuple[int, ...]) -> list[tuple[VertexId, int]]:
         arms = tuple(length for length, _ in survivors)
         origin = [origin[i] for _, i in survivors]
 
-    if n <= _EXACT_BASE:
-        g = spider_to_graph(Spider(arms))
-        k, schedule = exact_burning_number(g)
-        if k > alpha:
-            raise InternalContradictionError(
-                f"spider of order {n} needed {k} > ceil_sqrt rounds"
-            )
-        pairs = list(cover_from_schedule(g, schedule).pairs)
-    elif len(arms) == alpha - 1 and arms[0] == alpha + 1 and arms[-1] == alpha + 1:
+    if len(arms) == alpha - 1 and arms[0] == alpha + 1 and arms[-1] == alpha + 1:
         # n == alpha**2 exactly; the head ball cannot finish this shape
         pairs = [(arm_vertex(0, 1), alpha - 1)]
         pairs += [(arm_vertex(i, alpha), alpha - 1 - i) for i in range(1, alpha - 1)]
@@ -205,10 +194,12 @@ def _head_ball(arms: tuple[int, ...], alpha: int) -> list[tuple[VertexId, int]]:
         tip = alpha - 1 + h
         rho = (alpha - 3) // 2
         ctr = min(alpha + rho, tip)
-        if ctr - rho > alpha or ctr + rho < tip - 2:
+        # h <= alpha-1 puts the residual ball's far end at tip-1 or beyond
+        if ctr - rho > alpha or ctr + rho < tip - 1:
             raise InternalContradictionError("split tail left a gap uncovered")
         pairs.append((arm_vertex(i, ctr), rho))
-        pairs.append((arm_vertex(i, tip), 1))
+        if ctr + rho < tip:
+            pairs.append((arm_vertex(i, tip), 0))
         return pairs
 
     # remaining range: floor(a/2 + 3/2) <= t <= a-2.  The residuals form a

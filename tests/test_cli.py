@@ -9,8 +9,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from burnkit import exact
 from burnkit.cli import _load_graph, fmt_ratio, main
 from burnkit.errors import InstanceError
+from burnkit.gen import random_path_forest
 
 
 def run(capsys, *argv):
@@ -309,12 +311,19 @@ def test_gen_spider_round_trip(capsys):
     assert payload["n"] == 20
 
 
-def test_size_guard_exit_code(capsys):
+def test_size_guard_exit_code(capsys, monkeypatch):
     code, _, err = run(capsys, "exact", "pf", "401")
     assert code == 3
     assert err.startswith("burnkit:")
     code, _, _ = run(capsys, "exact", "spider", "14", "14", "13")
     assert code == 3
+    # inside the order guard, but past the interval search's node budget
+    monkeypatch.setattr(exact, "_NODE_BUDGET", 20_000)
+    orders = random_path_forest(random.Random(5), 400, 20).orders
+    code, out, err = run(capsys, "exact", "pf", *map(str, orders))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("burnkit:")
 
 
 def test_usage_errors(capsys):

@@ -1,11 +1,15 @@
 """Exact oracles: interval assignment, ball-cover search, raw sequence search."""
 
+from random import Random
+
 import pytest
 
 from conftest import partitions
+from burnkit import exact
 from burnkit.burning import schedule_from_cover, verify_schedule
 from burnkit.errors import InstanceError, SizeGuardError
 from burnkit.exact import exact_burning_number, exact_path_forest, naive_schedule_search
+from burnkit.gen import random_path_forest
 from burnkit.model import (
     LabeledGraph,
     PathForest,
@@ -120,6 +124,17 @@ def test_guards_are_inclusive():
     assert k == 20
     k, _ = naive_schedule_search(path_forest_to_graph(PathForest((12,))))
     assert k == 4
+
+
+def test_path_forest_search_stops_at_its_node_budget(monkeypatch):
+    # Inside the order guard, yet proving k = 20..23 infeasible takes minutes
+    # (the optimum is 24); the node budget turns that into an error.
+    hard = random_path_forest(Random(5), 400, 20)
+    monkeypatch.setattr(exact, "_NODE_BUDGET", 20_000)
+    with pytest.raises(SizeGuardError, match="20000 nodes"):
+        exact_path_forest(hard)
+    k, _ = exact_path_forest(PathForest((400,)))
+    assert k == 20
 
 
 def test_empty_graph_is_rejected():

@@ -2,8 +2,10 @@
 
 import random
 
+import pytest
+
 from conftest import spider_arm_sets
-from burnkit import spider
+from burnkit import exact
 from burnkit.burning import verify_schedule
 from burnkit.gen import random_spider
 from burnkit.model import (
@@ -72,15 +74,14 @@ def test_reduce_long_arm_renumbers_survivors():
     assert pair == (a(0, 14), 6)
     assert survivors == [(8, 1), (8, 2), (7, 0)]
     rest = _spider_pairs((8, 8, 7))
-    assert rest == [(a(0, 4), 4), (a(1, 5), 3), (a(2, 5), 2), (a(2, 1), 1), (a(1, 1), 0)]
+    assert rest == [(HEAD, 4), (a(0, 6), 3), (a(1, 6), 2), (a(2, 6), 1)]
     # remainder arms 0, 1, 2 are input arms 1, 2, 0
     assert _spider_pairs((20, 8, 8)) == [
         pair,
-        (a(1, 4), 4),
-        (a(2, 5), 3),
-        (a(0, 5), 2),
-        (a(0, 1), 1),
-        (a(2, 1), 0),
+        (HEAD, 4),
+        (a(1, 6), 3),
+        (a(2, 6), 2),
+        (a(0, 6), 1),
     ]
 
 
@@ -93,27 +94,27 @@ def test_reduce_to_a_path_through_the_head():
 
 
 def test_reduce_refuses_short_arms():
-    # a = 6 above order 25: an arm of 2a-1 = 11 is split, one of 10 is not.
+    # a = 6: an arm of 2a-1 = 11 is split, one of 10 is not.
     assert _spider_pairs((11, 10, 10))[0] == (a(0, 6), 5)
     assert _spider_pairs((10, 10, 10))[0] == (HEAD, 5)
 
 
-def test_small_spider_uses_an_optimal_schedule(monkeypatch):
+def test_small_spiders_burn_without_an_exact_search(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("burn_spider ran an exact search")
+
+    for name in ("_cover_search", "_assign_intervals", "_sequence_search"):
+        monkeypatch.setattr(exact, name, refuse)
     sp = Spider((1, 1, 1))
     cover, schedule = burn_spider(sp)
-    assert schedule.claimed_time == 2
+    assert cover.pairs == ((HEAD, 1),)
     assert cover.budget == 2
+    assert schedule.claimed_time == 2
     assert verify_schedule(spider_to_graph(sp), schedule)
-    # The exact search is the base for orders up to 25 and no further.
-    calls = []
-    exact = spider.exact_burning_number
-    monkeypatch.setattr(
-        spider, "exact_burning_number", lambda g: calls.append(g.order) or exact(g)
-    )
-    _spider_pairs((8, 8, 8))
-    assert calls == [25]
-    _spider_pairs((9, 8, 8))
-    assert calls == [25]
+    for arms in spider_arm_sets(16):
+        burn_spider(Spider(arms))
+    with pytest.raises(AssertionError):
+        exact.exact_burning_number(spider_to_graph(sp))
 
 
 def check_spider(arms):
@@ -140,6 +141,8 @@ def test_head_ball_with_few_tails():
 
 
 def test_head_ball_with_one_split_tail():
+    # a = 7, t = 4: the last residual (length 1) takes a radius 2 ball, which
+    # already reaches its leaf, so no leaf ball follows.
     cover, _ = check_spider((12, 9, 8, 7, 1, 1))
     assert cover.pairs == (
         (HEAD, 6),
@@ -147,8 +150,20 @@ def test_head_ball_with_one_split_tail():
         (a(1, 8), 4),
         (a(2, 7), 3),
         (a(3, 7), 2),
-        (a(3, 7), 1),
     )
+    # a = 5, t = 3: the radius 1 ball stops one short of the leaf, which
+    # takes a radius 0 ball.
+    cover, _ = check_spider((8, 8, 8))
+    assert cover.pairs == (
+        (HEAD, 4),
+        (a(0, 6), 3),
+        (a(1, 6), 2),
+        (a(2, 6), 1),
+        (a(2, 8), 0),
+    )
+    # a = 5 with a residual of length 1: one ball, not a radius 1 pair twice
+    cover, _ = check_spider((6, 5, 5))
+    assert cover.pairs == ((HEAD, 4), (a(0, 5), 3), (a(1, 5), 2), (a(2, 5), 1))
 
 
 def test_head_ball_delegates_crowded_tails():
@@ -170,10 +185,11 @@ def test_head_ball_with_maximal_tail_count():
     assert cover.pairs[1] == (a(0, 7), 5)
 
 
-def test_long_arm_recursion_into_exact_base():
+def test_long_arm_split_into_a_split_tail():
+    # the remainder (8, 8, 7) is the split-tail case at a = 5
     cover, _ = check_spider((20, 8, 8))
     assert cover.pairs[0] == (a(0, 14), 6)
-    assert radii_of(cover) == (6, 4, 3, 2, 1, 0)
+    assert radii_of(cover) == (6, 4, 3, 2, 1)
 
 
 def test_long_arm_recursion_two_levels_deep():
@@ -195,8 +211,11 @@ def test_head_only_when_no_tails():
 
 
 def test_every_small_spider_burns_within_ceil_sqrt():
-    for arms in spider_arm_sets(16):
+    count = 0
+    for arms in spider_arm_sets(34):
         check_spider(arms)
+        count += 1
+    assert count == 53657
 
 
 def test_seeded_moderate_spiders_cover_every_branch():
