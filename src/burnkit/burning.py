@@ -24,9 +24,10 @@ from .errors import (
 from .model import BudgetedCover, BurnSchedule, LabeledGraph, VertexId
 
 # Path forests and spiders of at least this order burn through the closed
-# form; below it the BFS is faster, because the closed form has a fixed
-# numpy cost of some 40 us a call.  Measured crossover: order 64 on path
-# forests, about 76 on spiders.
+# form, on a layout each graph computes once; below it the BFS is faster,
+# because the closed form has a fixed numpy cost of some 40 us a call, and
+# a graph builds its CSR arrays only to take the BFS.  Measured crossover:
+# order 64 on path forests, about 76 on spiders.
 _CLOSED_FORM_MIN_ORDER = 64
 
 
@@ -41,7 +42,9 @@ def _times_raw(g: LabeledGraph, source_idx: np.ndarray) -> np.ndarray:
     """First-burn rounds by index: closed form on large path forests and spiders."""
     segments = g.segments
     if segments is not None and g.order >= _CLOSED_FORM_MIN_ORDER:
-        return engine.burn_times_segments(segments.lengths, segments.hub, source_idx)
+        return engine.burn_times_segments(
+            segments.lengths, segments.hub, source_idx, segments.layout()
+        )
     indptr, indices = g.csr()
     return engine.burn_times_csr(indptr, indices, source_idx)
 
@@ -125,6 +128,14 @@ def schedule_from_cover(g: LabeledGraph, cover: BudgetedCover) -> BurnSchedule:
     return BurnSchedule(tuple(g.vertices[i] for i in sources), claimed)
 
 
+def _any_before(times: np.ndarray, row, t: int) -> bool:
+    """Whether a vertex of the neighbour row burns before round t."""
+    if isinstance(row, np.ndarray):
+        # a CSR row or a spider's hub, whose row has an entry per arm: one read
+        return bool(row.size) and int(times[row].min()) < t
+    return any(times[v] < t for v in row)  # the one or two neighbours on a segment
+
+
 def _schedule_sequential(g: LabeledGraph, center_idx: list[int], M: int):
     """Sources and completion round (inf if never) of the construction.
 
@@ -135,9 +146,10 @@ def _schedule_sequential(g: LabeledGraph, center_idx: list[int], M: int):
     ignited by `improve`, which relaxes only the vertices it burns sooner.
     A center is burned at its round j iff its round is below j or a
     neighbor's is below j; rounds below j depend only on the sources
-    ignited before round j.
+    ignited before round j.  Neighbours come from g.neighbors, so a path
+    forest or spider needs no CSR arrays here.
     """
-    indptr, indices = g.csr()
+    neighbors = g.neighbors
     n = g.order
     # Marks the vertices that never burn.  It lies above every round: the
     # seeded rounds are at most len(center_idx) + n - 1, and every later
@@ -161,7 +173,7 @@ def _schedule_sequential(g: LabeledGraph, center_idx: list[int], M: int):
             t += 1
             nxt = []
             for u in frontier:
-                for v in indices[indptr[u]:indptr[u + 1]]:
+                for v in neighbors(u):
                     if t < times[v]:
                         bins[times[v]] -= 1
                         bins[t] += 1
@@ -179,12 +191,11 @@ def _schedule_sequential(g: LabeledGraph, center_idx: list[int], M: int):
         if cur_max <= t:
             break
         t += 1
-        row = indices[indptr[c]:indptr[c + 1]]
-        if times[c] < t or (row.size and int(times[row].min()) < t):
-            while unburned < n and times[canon[unburned]] <= t:
-                unburned += 1
-            if unburned == n:
+        if times[c] < t or _any_before(times, neighbors(c), t):
+            if cur_max <= t:  # the spread of round t burned the graph
                 break
+            while times[canon[unburned]] <= t:
+                unburned += 1
             c = int(canon[unburned])
             improve(c, t)
         sources.append(c)

@@ -6,14 +6,20 @@ burn_times_segments serves path forests and spiders.  There every vertex
 burns at min_i (i + d(s_i, v)) and distances are arithmetic, so it is a
 closed form in numpy: the 1-D L1 distance transform (Felzenszwalb &
 Huttenlocher, "Distance transforms of sampled functions", 2012) run over
-each segment, plus a hub term for spiders.
+each segment, plus a hub term for spiders.  It needs no adjacency arrays,
+only each vertex's segment and position (segment_layout), which a graph
+computes once and passes to every call.
 
 Which runs when: the simulator and the schedule construction
 (burning._times_raw) burn path forests and spiders of order at least
 burning._CLOSED_FORM_MIN_ORDER (64) through the closed form, whose fixed
 numpy cost the BFS undercuts on smaller ones.  Edge-list graphs, smaller
 path forests and spiders, and the exact solvers' distance rows go
-through the BFS.
+through the BFS; a path forest or spider builds its CSR arrays only then.
+
+Both kernels take the sources as a sequence of integer vertex indices and
+raise InstanceError on anything else (floats, strings, bools) and on an
+index outside [0, n).
 """
 
 import numpy as np
@@ -24,22 +30,40 @@ from .errors import InstanceError
 KERNEL_NAME = "python"
 
 
+def _source_array(sources) -> np.ndarray:
+    """sources as a 1-D integer array; InstanceError for anything else."""
+    try:
+        src = np.asarray(sources)  # ValueError when the entries are ragged
+        if src.size == 0:
+            return np.empty(0, dtype=np.int64)
+        if src.ndim != 1 or src.dtype.kind not in "iu":
+            raise ValueError
+    except ValueError:
+        raise InstanceError("sources must be a sequence of integer vertex indices") from None
+    return src
+
+
+def _check_range(lowest: int, highest: int, n: int) -> None:
+    if lowest < 0 or highest >= n:
+        raise InstanceError(f"source index out of range for {n} vertices")
+
+
 def burn_times_csr(indptr, indices, sources) -> np.ndarray:
     """First-burn rounds on the CSR graph (indptr, indices).
 
     Round t first spreads fire from every vertex burned at round t-1, then
     ignites sources[t-1] if it exists and is still unburned.  Returns an
-    int32 array of first-burn rounds, -1 for never burned.  A source
-    index outside [0, n) raises InstanceError.  Lists are used as given,
-    so a caller burning one graph many times converts its arrays once.
+    int32 array of first-burn rounds, -1 for never burned.  Lists are used
+    as given, so a caller burning one graph many times converts its arrays
+    once.
     """
     ip = indptr.tolist() if isinstance(indptr, np.ndarray) else indptr
     idx = indices.tolist() if isinstance(indices, np.ndarray) else indices
-    src = sources.tolist() if isinstance(sources, np.ndarray) else list(sources)
     n = len(ip) - 1
+    src = _source_array(sources).tolist()
     k = len(src)
-    if k and (min(src) < 0 or max(src) >= n):
-        raise InstanceError(f"source index out of range for {n} vertices")
+    if k:
+        _check_range(min(src), max(src), n)
     times = [-1] * n
     cur: list[int] = []
     t = 0
@@ -61,41 +85,67 @@ def burn_times_csr(indptr, indices, sources) -> np.ndarray:
     return np.asarray(times, dtype=np.int32)
 
 
-def burn_times_segments(lengths, hub: bool, sources) -> np.ndarray:
+def segment_layout(lengths) -> tuple[np.ndarray, np.ndarray]:
+    """(pos, seg) int32 arrays over the segment vertices, in index order.
+
+    seg is the index of the vertex's segment and pos its position within
+    it, 0 nearest the hub (on a spider arm that is the distance to the
+    head minus one).  The hub itself has no entry.
+    """
+    lens = np.asarray(lengths, dtype=np.int64)
+    seg = np.repeat(np.arange(lens.size, dtype=np.int32), lens)
+    pos = np.arange(seg.size, dtype=np.int32)
+    pos -= np.repeat((np.cumsum(lens) - lens).astype(np.int32), lens)
+    return pos, seg
+
+
+def burn_times_segments(lengths, hub: bool, sources, layout) -> np.ndarray:
     """First-burn rounds on a path forest (hub=False) or spider (hub=True).
 
     Indices follow model.SegmentVertices: the hub, if any, is index 0, then
     the segments of the given lengths lie contiguously, each ordered away
     from the hub.  Same contract as burn_times_csr on that graph: sources[i]
     is ignited in round i+1 (a no-op if already burned), and the result is
-    an int32 array of first-burn rounds, -1 for never burned.
+    an int32 array of first-burn rounds, -1 for never burned.  layout is
+    segment_layout(lengths), which a graph computes once and keeps
+    (SegmentVertices.layout).
     """
-    lens = np.asarray(lengths, dtype=np.int64)
-    src = np.asarray(sources, dtype=np.int64).reshape(-1)
+    pos, seg = layout
     base = int(hub)
-    n = base + int(lens.sum())
+    size = pos.size
+    n = base + size
+    src = _source_array(sources)
     k = src.size
-    if k and (int(src.min()) < 0 or int(src.max()) >= n):
-        raise InstanceError(f"source index out of range for {n} vertices")
+    if k:
+        _check_range(src.min(), src.max(), n)
     inf = n + k + 1  # above every reachable round, which is at most k + n - 1
     first = np.full(n, inf, dtype=np.int64)
     # ignition round of each source; a repeated one counts from its first
     np.minimum.at(first, src, np.arange(1, k + 1))
 
     f = first[base:]
-    size = f.size
-    # Position within the segment, 0 nearest the hub (on a spider arm that
-    # is the distance to the head minus one) ...
-    pos = np.arange(size, dtype=np.int64) - np.repeat(np.cumsum(lens) - lens, lens)
-    # ... plus s * (inf + size) on segment s, so that each running minimum
+    # pos plus s * (inf + size) on segment s, so that each running minimum
     # below restarts at its segment: every value of a segment beats all
-    # values carried over from the segments swept before it.
-    w = pos + np.repeat(np.arange(lens.size, dtype=np.int64) * (inf + size), lens)
-    down = np.minimum.accumulate(f - w) + w
-    up = np.minimum.accumulate((f + w)[::-1])[::-1] - w
-    times = np.minimum(down, up)
+    # values carried over from the segments swept before it.  The spacing
+    # grows with k, so it is recomputed on every call.
+    w = np.multiply(seg, inf + size, dtype=np.int64)
+    w += pos
+    up = f + w
+    np.minimum.accumulate(up[::-1], out=up[::-1])
+    up -= w
+    f -= w  # f is a view of first, so the sweeps below run in place
+    np.minimum.accumulate(f, out=f)
+    f += w
+    np.minimum(f, up, out=f)
     if hub:
-        head = min(int(first[0]), int((f + pos).min()) + 1)
-        times = np.concatenate(([head], np.minimum(times, head + 1 + pos)))
-    times[times >= inf] = -1
-    return times.astype(np.int32)
+        # the head burns at its own ignition or when the first arm fire
+        # arrives: source i, at position p of an arm, reaches it in
+        # round i + p + 1
+        on_arm = src > 0
+        reach = np.arange(2, k + 2)[on_arm] + pos[src[on_arm] - 1]
+        head = min(int(first[0]), int(reach.min(initial=inf)))
+        first[0] = head
+        np.minimum(f, np.add(pos, head + 1, out=up, dtype=np.int64), out=f)
+    if first.max(initial=0) >= inf:
+        first[first >= inf] = -1
+    return first.astype(np.int32)

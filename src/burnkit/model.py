@@ -17,10 +17,14 @@ Vertex ids are plain tuples with a total lexicographic order:
 Within one graph only one family of ids appears (plus the head for spiders).
 Path-forest and spider graphs never store their ids: index and id convert
 into each other by arithmetic on the segment layout (see SegmentVertices),
-and an id tuple is built only when it is read.  Graphs from edge lists come
-from the validated constructor LabeledGraph(vertices, edges), which takes
-the ids as a sequence and the edges as pairs of vertex indices; they keep
-their ids in a tuple and look indices up in a dict.
+and an id tuple is built only when it is read.  They hold no adjacency
+arrays either: neighbours are arithmetic too, the closed-form kernel reads
+a position/segment layout computed once per graph, and the CSR arrays are
+built only when something asks for them (the BFS kernel on small graphs,
+the exact solvers).  Graphs from edge lists come from the validated
+constructor LabeledGraph(vertices, edges), which takes the ids as a
+sequence and the edges as pairs of vertex indices; they keep their ids in
+a tuple, look indices up in a dict and store their CSR arrays.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from operator import index as _as_index
 
 import numpy as np
 
+from .engine import segment_layout
 from .errors import BudgetError, InstanceError
 
 VertexId = tuple
@@ -183,10 +188,13 @@ class SegmentVertices(Sequence):
     indices starting at offsets[s], ordered away from the hub.  Positions
     are 1-based on spider arms, ("a", s, 1) being next to the head, and
     0-based on path components.  Index and id convert by arithmetic, so a
-    graph holds no id tuples and no lookup dict.
+    graph holds no id tuples and no lookup dict; neighbours are arithmetic
+    too (neighbors), the closed-form kernel's layout is computed on the
+    first burn and kept (layout), and CSR arrays are built only on request
+    (csr).
     """
 
-    __slots__ = ("lengths", "hub", "offsets", "_n")
+    __slots__ = ("lengths", "hub", "offsets", "_n", "_starts", "_layout")
 
     def __init__(self, lengths: tuple[int, ...], hub: bool):
         self.lengths = np.asarray(lengths, dtype=np.int64)
@@ -194,6 +202,8 @@ class SegmentVertices(Sequence):
         ends = np.cumsum(self.lengths) + int(hub)
         self.offsets = ends - self.lengths
         self._n = int(ends[-1])
+        self._starts = None  # for neighbors: byte i is 1 where a segment starts, and at n
+        self._layout = None
 
     def __len__(self) -> int:
         return self._n
@@ -245,6 +255,37 @@ class SegmentVertices(Sequence):
             return -1
         return int(self.offsets[seg]) + pos
 
+    def neighbors(self, i: int):
+        """Indices adjacent to index i (0 <= i < n), ascending, by arithmetic.
+
+        A segment vertex has its previous vertex (the hub, for the first
+        vertex of a spider arm) and its next one, where they exist; the
+        hub has the first vertex of every arm, returned as the offsets
+        array.  These are the rows of csr().
+        """
+        if self.hub and i == 0:
+            return self.offsets
+        starts = self._starts
+        if starts is None:
+            marks = np.zeros(self._n + 1, dtype=np.uint8)
+            marks[self.offsets] = 1
+            marks[self._n] = 1
+            starts = self._starts = marks.tobytes()
+        row = []
+        if not starts[i]:
+            row.append(i - 1)
+        elif self.hub:
+            row.append(0)
+        if not starts[i + 1]:
+            row.append(i + 1)
+        return row
+
+    def layout(self) -> tuple[np.ndarray, np.ndarray]:
+        """engine.segment_layout of these segments, computed on first call."""
+        if self._layout is None:
+            self._layout = segment_layout(self.lengths)
+        return self._layout
+
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         """CSR adjacency with rows sorted, as LabeledGraph.__init__ builds it.
 
@@ -286,7 +327,9 @@ class LabeledGraph:
     rejected.  Adjacency is kept as CSR int32 arrays with every row sorted,
     so the burn kernel can run on large instances.  `vertices` is a tuple
     for graphs built from edge lists and a SegmentVertices for path forests
-    and spiders.
+    and spiders.  Those hold no CSR arrays until `csr()` is first called,
+    and then keep them; `neighbors(i)` reads a row from the CSR arrays of an
+    edge-list graph and by arithmetic on a path forest or spider.
     """
 
     __slots__ = ("vertices", "_indptr", "_indices", "_index", "_canon")
@@ -330,7 +373,7 @@ class LabeledGraph:
         # against the validated constructor in the test suite).
         g = cls.__new__(cls)
         g.vertices = vertices
-        g._indptr, g._indices = vertices.csr()
+        g._indptr = g._indices = None  # built by csr() when first asked for
         g._index = None
         g._canon = canonical_order
         return g
@@ -345,7 +388,15 @@ class LabeledGraph:
         return len(self.vertices)
 
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._indptr is None:
+            self._indptr, self._indices = self.vertices.csr()
         return self._indptr, self._indices
+
+    def neighbors(self, i: int):
+        """Indices adjacent to vertex index i, ascending: row i of csr()."""
+        if self._index is None:
+            return self.vertices.neighbors(i)
+        return self._indices[self._indptr[i]:self._indptr[i + 1]]
 
     def __contains__(self, v) -> bool:
         if self._index is None:

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from conftest import neighbors, partitions
-from burnkit import burning
+from burnkit import burning, model
 from burnkit.burning import (
     cover_from_schedule,
     schedule_from_cover,
@@ -20,11 +20,15 @@ from burnkit.errors import (
     InternalContradictionError,
     VerificationError,
 )
+from burnkit.greedy import greedy_burn
 from burnkit.model import (
+    HEAD,
     BudgetedCover,
     BurnSchedule,
     LabeledGraph,
     PathForest,
+    Spider,
+    arm_vertex,
     ceil_sqrt,
     comp_vertex,
     path_center,
@@ -32,6 +36,7 @@ from burnkit.model import (
     spider_to_graph,
 )
 from burnkit.gen import random_path_forest, random_spider
+from burnkit.spider import burn_spider
 
 
 def pf_graph(*orders):
@@ -315,3 +320,44 @@ def test_schedule_from_cover_matches_the_reference_construction():
             g = spider_to_graph(random_spider(rng, n, rng.randint(3, min(n - 1, 8))))
         outcomes.add(matches_reference(g, random_cover(rng, g)))
     assert outcomes == {True, False}
+
+
+def test_large_segment_graphs_build_no_csr(monkeypatch):
+    # From the closed-form cutoff up, a path forest or spider schedules,
+    # verifies and simulates without adjacency arrays, and lays out its
+    # segments once however often it is burned.
+    def refuse(self):
+        raise AssertionError("CSR arrays built for a large segment graph")
+
+    layouts = []
+    real_layout = model.segment_layout
+    monkeypatch.setattr(model.SegmentVertices, "csr", refuse)
+    monkeypatch.setattr(model, "segment_layout", lambda lens: layouts.append(1) or real_layout(lens))
+    rng = random.Random(20261019)
+    cutoff = burning._CLOSED_FORM_MIN_ORDER
+    forests = [PathForest((cutoff,)), PathForest((40, 23, 1)), random_path_forest(rng, 5000, 60)]
+    for pf in forests:
+        _, schedule, _ = greedy_burn(pf)
+        g = path_forest_to_graph(pf)
+        assert verify_schedule(g, schedule)
+        assert simulate(g, schedule.sources)[1] <= schedule.claimed_time
+    head_ball = random_spider(rng, 20000, 4000)  # no arm reaches 2a - 1
+    split = Spider((500, 10, 10))  # the longest arm is split first
+    for sp, first in ((head_ball, (HEAD, 141)), (split, (arm_vertex(0, 478), 22))):
+        cover, schedule = burn_spider(sp)
+        assert cover.pairs[0] == first
+        g = spider_to_graph(sp)
+        assert verify_schedule(g, schedule)
+        assert simulate(g, schedule.sources)[1] <= schedule.claimed_time
+    # A replaced center: the second ball's center burns at round 2, so the
+    # smallest unburned vertex, next to the head, is ignited instead and
+    # the replacement's spread crosses the head into every arm.
+    g = spider_to_graph(Spider((30,) * 5))
+    cover = BudgetedCover(((arm_vertex(0, 30), 59), (arm_vertex(0, 29), 10)), 60)
+    schedule = schedule_from_cover(g, cover)
+    assert schedule.sources[:2] == (arm_vertex(0, 30), arm_vertex(0, 1))
+    assert schedule.claimed_time == 33
+    # Each graph built above laid its segments out once, though each was
+    # burned at least twice: one graph per burner call and one per check
+    # for every instance, then the last spider.
+    assert len(layouts) == 2 * (len(forests) + 2) + 1

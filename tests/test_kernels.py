@@ -27,7 +27,7 @@ def csr(g, sources):
 
 def closed_form(g, sources):
     seg = g.segments
-    return engine.burn_times_segments(seg.lengths, seg.hub, sources)
+    return engine.burn_times_segments(seg.lengths, seg.hub, sources, seg.layout())
 
 
 # Each entry burns a LabeledGraph: burn(g, sources) -> first-burn rounds.
@@ -137,6 +137,38 @@ def test_kernels_reject_out_of_range_sources(burn):
     for bad in ([-1], [5], [0, 7]):
         with pytest.raises(InstanceError):
             burn(g, bad)
+
+
+@pytest.mark.parametrize("burn", KERNELS)
+def test_kernels_reject_non_integer_sources(burn):
+    # No float is truncated to an index, and no string or bool parsed as one.
+    g = spider_to_graph(Spider((2, 1, 1)))
+    for bad in ([1.5], [1.0], [0, 2.5], ["1"], [True], np.array([0.0, 1.0]),
+                np.array([True, False]), [[0, 1]], [[0, 1], [2]], [None]):
+        with pytest.raises(InstanceError, match="integer vertex indices"):
+            burn(g, bad)
+    expected = burn(g, [0, 1]).tolist()
+    for good in (np.array([0, 1], dtype=np.uint8), np.array([0, 1], dtype=np.int16), (0, 1)):
+        assert burn(g, good).tolist() == expected
+
+
+def test_closed_form_reuses_one_layout_across_calls():
+    # One graph, one layout, source lists of growing and shrinking length:
+    # the segment separation must follow n + k on every call.  Repeated
+    # sources push k past n, and some segments get no source at all.
+    rng = random.Random(20261019)
+    for g in (
+        path_forest_to_graph(PathForest((5, 5, 5, 4))),
+        spider_to_graph(Spider((6, 4, 4, 2, 1))),
+        path_forest_to_graph(PathForest(tuple(rng.randint(1, 40) for _ in range(30)))),
+        spider_to_graph(Spider(tuple(rng.randint(1, 40) for _ in range(30)))),
+    ):
+        layout = g.segments.layout()
+        for k in (1, 3, 2 * g.order, 0, 5, 3 * g.order + 7, 1):
+            pool = rng.sample(range(g.order), min(3, g.order))
+            sources = [rng.choice(pool) for _ in range(k)]
+            assert np.array_equal(closed_form(g, sources), csr(g, sources)), (k, sources)
+        assert g.segments.layout() is layout
 
 
 def _floyd_warshall(n, edges):

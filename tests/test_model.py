@@ -1,8 +1,10 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import neighbors
+from conftest import neighbors, partitions, spider_arm_sets
 
 from burnkit import (
     HEAD,
@@ -20,6 +22,8 @@ from burnkit import (
     path_forest_to_graph,
     spider_to_graph,
 )
+from burnkit.gen import random_path_forest, random_spider
+from burnkit.model import SegmentVertices
 
 
 def test_ceil_sqrt_small():
@@ -233,3 +237,45 @@ def test_spider_graph_matches_the_validated_constructor():
         assert a.dtype == b.dtype and np.array_equal(a, b)
     canon = sorted(range(slow.order), key=slow.vertices.__getitem__)
     assert fast.canonical_order().tolist() == canon
+
+
+def _csr_rows(g):
+    indptr, indices = g.csr()
+    return [indices[indptr[i]:indptr[i + 1]].tolist() for i in range(g.order)]
+
+
+def test_segment_neighbors_are_the_csr_rows():
+    # Every small path forest and spider, then seeded large ones, one of
+    # them with thousands of arms.  The rows are read from a graph whose
+    # CSR arrays were never built, and compared with another's.
+    shapes = [(PathForest(o), path_forest_to_graph) for n in range(1, 13) for o in partitions(n)]
+    shapes += [(Spider(arms), spider_to_graph) for arms in spider_arm_sets(14)]
+    rng = random.Random(20261019)
+    for n in (64, 500, 3000):
+        shapes.append((random_path_forest(rng, n, rng.randint(1, n // 8)), path_forest_to_graph))
+        shapes.append((random_spider(rng, n, rng.randint(3, n // 8)), spider_to_graph))
+    shapes.append((random_spider(rng, 6000, 2500), spider_to_graph))
+    for inst, build in shapes:
+        g = build(inst)
+        rows = [np.asarray(g.neighbors(i)).tolist() for i in range(g.order)]
+        assert rows == _csr_rows(build(inst)), inst
+
+
+def test_edge_list_neighbors_are_the_csr_rows():
+    v = tuple(graph_vertex(x) for x in "abcde")
+    g = LabeledGraph(v, [(3, 0), (0, 1), (4, 0), (1, 3)])
+    assert [g.neighbors(i).tolist() for i in range(5)] == _csr_rows(g)
+    assert g.neighbors(0).tolist() == [1, 3, 4] and g.neighbors(2).tolist() == []
+
+
+def test_segment_graph_builds_its_csr_once_when_asked(monkeypatch):
+    built = []
+    real = SegmentVertices.csr
+    monkeypatch.setattr(SegmentVertices, "csr", lambda self: built.append(self) or real(self))
+    g = spider_to_graph(Spider((3, 2, 1)))
+    g.neighbors(0), g.neighbors(4), g.segments.layout()
+    assert built == []
+    indptr, indices = g.csr()
+    again = g.csr()
+    assert built == [g.vertices]
+    assert again[0] is indptr and again[1] is indices
