@@ -55,10 +55,6 @@ class BoundRow:
     ub_sqrt: int | None
     ratio: Fraction
 
-    @property
-    def best_upper(self) -> int:
-        return self.ub_floor if self.ub_sqrt is None else min(self.ub_floor, self.ub_sqrt)
-
 
 def bound_table(n: int) -> list[BoundRow]:
     """One row per component count t = 1..n (balanced path forests of order n)."""

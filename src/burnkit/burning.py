@@ -25,10 +25,12 @@ from .model import BudgetedCover, BurnSchedule, LabeledGraph, VertexId
 
 # Path forests and spiders of at least this order burn through the closed
 # form, on a layout each graph computes once; below it the BFS is faster,
-# because the closed form has a fixed numpy cost of some 40 us a call, and
-# a graph builds its CSR arrays only to take the BFS.  Measured crossover:
-# order 64 on path forests, about 76 on spiders.
-_CLOSED_FORM_MIN_ORDER = 64
+# because the closed form has a fixed numpy cost of some 35 us a call.  A
+# graph packs its neighbour rows into CSR arrays only to take the BFS.
+# Measured crossover of graph build plus seed and verify burns, with the
+# packed CSR (2 cores, Python 3.11, numpy 2.4): order 36-39 on path
+# forests, 42-45 on spiders.
+_CLOSED_FORM_MIN_ORDER = 40
 
 
 def _source_indices(g: LabeledGraph, sources) -> np.ndarray:

@@ -4,8 +4,9 @@ Subcommands: burn (constructive schedules), exact (optimal with witness),
 bounds (closed-form table as CSV), verify (check a user schedule), bench
 (greedy vs exact on random path forests, CSV), gen (random instances).
 
-Exit codes: 0 success, 1 a verify that came back negative, 2 bad usage or
-malformed input, 3 an instance too large for an exact search.
+Exit codes: 0 success, 1 a verify that came back negative or a reader that
+closed stdout early (quietly, as with `burnkit bounds 3000 | head`), 2 bad
+usage or malformed input, 3 an instance too large for an exact search.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import random
 import sys
 import time
@@ -246,9 +248,13 @@ def _cmd_bench(args) -> int:
 def _cmd_gen(args) -> int:
     rng = random.Random(args.seed)
     if args.kind == "pf":
+        if args.arms is not None:
+            raise InstanceError("--arms is for spiders only")
         pf = random_path_forest(rng, args.n, args.parts)
         print("pf " + " ".join(map(str, pf.orders)))
     else:
+        if args.parts is not None:
+            raise InstanceError("--parts is for path forests only")
         sp = random_spider(rng, args.n, args.arms)
         print("spider " + " ".join(map(str, sp.arms)))
     return 0
@@ -307,7 +313,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader left early.  Point stdout at devnull, so the flush at
+        # exit cannot fail again, and exit quietly (Python's signal docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except SizeGuardError as exc:
         print(f"burnkit: {exc}", file=sys.stderr)
         return 3

@@ -12,10 +12,11 @@ computes once and passes to every call.
 
 Which runs when: the simulator and the schedule construction
 (burning._times_raw) burn path forests and spiders of order at least
-burning._CLOSED_FORM_MIN_ORDER (64) through the closed form, whose fixed
+burning._CLOSED_FORM_MIN_ORDER (40) through the closed form, whose fixed
 numpy cost the BFS undercuts on smaller ones.  Edge-list graphs, smaller
 path forests and spiders, and the exact solvers' distance rows go
-through the BFS; a path forest or spider builds its CSR arrays only then.
+through the BFS; only then does a path forest or spider build CSR
+arrays, by packing its arithmetic neighbour rows.
 
 Both kernels take the sources as a sequence of integer vertex indices and
 raise InstanceError on anything else (floats, strings, bools) and on an

@@ -18,9 +18,10 @@ Within one graph only one family of ids appears (plus the head for spiders).
 Path-forest and spider graphs never store their ids: index and id convert
 into each other by arithmetic on the segment layout (see SegmentVertices),
 and an id tuple is built only when it is read.  They hold no adjacency
-arrays either: neighbours are arithmetic too, the closed-form kernel reads
-a position/segment layout computed once per graph, and the CSR arrays are
-built only when something asks for them (the BFS kernel on small graphs,
+arrays either: neighbours are arithmetic too (SegmentVertices.neighbors),
+and the closed-form kernel reads a position/segment layout computed once
+per graph.  Their CSR arrays are those neighbour rows packed, built only
+when something asks for them (the BFS kernel on graphs of order below 40,
 the exact solvers).  Graphs from edge lists come from the validated
 constructor LabeledGraph(vertices, edges), which takes the ids as a
 sequence and the edges as pairs of vertex indices; they keep their ids in
@@ -32,7 +33,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from math import isqrt
 from operator import index as _as_index
 
@@ -188,10 +189,11 @@ class SegmentVertices(Sequence):
     indices starting at offsets[s], ordered away from the hub.  Positions
     are 1-based on spider arms, ("a", s, 1) being next to the head, and
     0-based on path components.  Index and id convert by arithmetic, so a
-    graph holds no id tuples and no lookup dict; neighbours are arithmetic
-    too (neighbors), the closed-form kernel's layout is computed on the
-    first burn and kept (layout), and CSR arrays are built only on request
-    (csr).
+    graph holds no id tuples and no lookup dict.  Neighbours are arithmetic
+    too (neighbors), and this is the one statement of the adjacency: a
+    graph's CSR arrays, when asked for, are these rows packed
+    (LabeledGraph.csr).  The closed-form kernel's layout is computed on the
+    first burn and kept (layout).
     """
 
     __slots__ = ("lengths", "hub", "offsets", "_n", "_starts", "_layout")
@@ -232,9 +234,6 @@ class SegmentVertices(Sequence):
             for pos in range(first, first + length):
                 yield self._vertex(seg, pos)
 
-    def __contains__(self, v) -> bool:
-        return self._locate(v) >= 0
-
     def _locate(self, v) -> int:
         """Index of vertex id v, or -1 when v is not a vertex here.
 
@@ -261,7 +260,7 @@ class SegmentVertices(Sequence):
         A segment vertex has its previous vertex (the hub, for the first
         vertex of a spider arm) and its next one, where they exist; the
         hub has the first vertex of every arm, returned as the offsets
-        array.  These are the rows of csr().
+        array.  LabeledGraph.csr packs these rows into CSR arrays.
         """
         if self.hub and i == 0:
             return self.offsets
@@ -286,36 +285,6 @@ class SegmentVertices(Sequence):
             self._layout = segment_layout(self.lengths)
         return self._layout
 
-    def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """CSR adjacency with rows sorted, as LabeledGraph.__init__ builds it.
-
-        Every segment vertex has a lower neighbor (the previous vertex, or
-        the hub for the first vertex of a spider arm) and an upper one (the
-        next vertex) unless it ends its segment; the hub's row lists the
-        first vertex of every arm.
-        """
-        lens, starts = self.lengths, self.offsets
-        base = int(self.hub)
-        n = self._n
-        v = np.arange(base, n, dtype=np.int64)
-        is_first = np.zeros(n - base, dtype=bool)
-        is_first[starts - base] = True
-        has_hi = np.ones(n - base, dtype=bool)
-        has_hi[starts + lens - 1 - base] = False
-        has_lo = np.ones(n - base, dtype=bool) if self.hub else ~is_first
-        indptr = np.zeros(n + 1, dtype=np.int32)
-        if self.hub:
-            indptr[1] = len(lens)
-        indptr[base + 1:] = indptr[base] + np.cumsum(has_lo.astype(np.int32) + has_hi)
-        indices = np.empty(int(indptr[-1]), dtype=np.int32)
-        if self.hub:
-            indices[: len(lens)] = starts
-        row = indptr[base:-1].astype(np.int64)
-        lower = np.where(is_first, 0, v - 1)
-        indices[row[has_lo]] = lower[has_lo]
-        indices[(row + has_lo)[has_hi]] = (v + 1)[has_hi]
-        return indptr, indices
-
 
 class LabeledGraph:
     """Immutable undirected simple graph over VertexIds.
@@ -327,9 +296,10 @@ class LabeledGraph:
     rejected.  Adjacency is kept as CSR int32 arrays with every row sorted,
     so the burn kernel can run on large instances.  `vertices` is a tuple
     for graphs built from edge lists and a SegmentVertices for path forests
-    and spiders.  Those hold no CSR arrays until `csr()` is first called,
-    and then keep them; `neighbors(i)` reads a row from the CSR arrays of an
-    edge-list graph and by arithmetic on a path forest or spider.
+    and spiders.  Those compute `neighbors(i)` by arithmetic and hold no CSR
+    arrays until `csr()` is first called, which packs their neighbour rows
+    into the arrays and keeps them; on an edge-list graph `neighbors(i)`
+    reads row i of the CSR arrays.
     """
 
     __slots__ = ("vertices", "_indptr", "_indices", "_index", "_canon")
@@ -373,7 +343,7 @@ class LabeledGraph:
         # against the validated constructor in the test suite).
         g = cls.__new__(cls)
         g.vertices = vertices
-        g._indptr = g._indices = None  # built by csr() when first asked for
+        g._indptr = g._indices = None  # packed by csr() when first asked for
         g._index = None
         g._canon = canonical_order
         return g
@@ -388,8 +358,13 @@ class LabeledGraph:
         return len(self.vertices)
 
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._indptr is None:
-            self._indptr, self._indices = self.vertices.csr()
+        if self._indptr is None:  # a path forest or spider: pack its rows
+            n = len(self.vertices)
+            rows = list(map(self.vertices.neighbors, range(n)))
+            indptr = np.zeros(n + 1, dtype=np.int32)
+            np.cumsum(np.fromiter(map(len, rows), np.int32, n), out=indptr[1:])
+            self._indices = np.fromiter(chain.from_iterable(rows), np.int32, int(indptr[-1]))
+            self._indptr = indptr
         return self._indptr, self._indices
 
     def neighbors(self, i: int):
@@ -397,11 +372,6 @@ class LabeledGraph:
         if self._index is None:
             return self.vertices.neighbors(i)
         return self._indices[self._indptr[i]:self._indptr[i + 1]]
-
-    def __contains__(self, v) -> bool:
-        if self._index is None:
-            return v in self.vertices
-        return v in self._index
 
     def index_of(self, v) -> int:
         i = self.vertices._locate(v) if self._index is None else self._index.get(v, -1)

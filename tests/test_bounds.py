@@ -36,12 +36,8 @@ def test_function_forms_match_table():
             assert lower_bound(pf) == row.lower
             assert ub_floor(pf) == row.ub_floor
             assert ub_sqrt(pf) == row.ub_sqrt
-            assert row.ratio == Fraction(row.best_upper, row.lower)
-
-
-def test_best_upper_prefers_the_smaller_bound():
-    assert BoundRow(1, 4, 7, 4, Fraction(1)).best_upper == 4
-    assert BoundRow(5, 5, 6, None, Fraction(6, 5)).best_upper == 6
+            upper = min(b for b in (row.ub_floor, row.ub_sqrt) if b is not None)
+            assert row.ratio == Fraction(upper, row.lower)
 
 
 def test_single_vertex_table():

@@ -331,7 +331,7 @@ def test_large_segment_graphs_build_no_csr(monkeypatch):
 
     layouts = []
     real_layout = model.segment_layout
-    monkeypatch.setattr(model.SegmentVertices, "csr", refuse)
+    monkeypatch.setattr(model.LabeledGraph, "csr", refuse)
     monkeypatch.setattr(model, "segment_layout", lambda lens: layouts.append(1) or real_layout(lens))
     rng = random.Random(20261019)
     cutoff = burning._CLOSED_FORM_MIN_ORDER

@@ -3,12 +3,16 @@
 import csv
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import burnkit
 from burnkit import exact
 from burnkit.cli import _load_graph, fmt_ratio, main
 from burnkit.errors import InstanceError
@@ -299,6 +303,18 @@ def test_gen_pf_respects_parts(capsys):
     assert len(out.split()) == 4
 
 
+def test_gen_pf_rejects_arms(capsys):
+    code, out, err = run(capsys, "gen", "pf", "10", "--arms", "3")
+    assert code == 2 and out == ""
+    assert err == "burnkit: --arms is for spiders only\n"
+
+
+def test_gen_spider_rejects_parts(capsys):
+    code, out, err = run(capsys, "gen", "spider", "10", "--parts", "2")
+    assert code == 2 and out == ""
+    assert err == "burnkit: --parts is for path forests only\n"
+
+
 def test_gen_spider_round_trip(capsys):
     code, out, _ = run(capsys, "gen", "spider", "20", "--seed", "9")
     assert code == 0
@@ -336,3 +352,21 @@ def test_usage_errors(capsys):
     assert run(capsys, "burn", "path", "4", "5")[0] == 2
     assert run(capsys, "bench", "--random", "0", "1")[0] == 2
     assert run(capsys, "bench", "--random", "3", "1", "--max-n", "0")[0] == 2
+
+
+def test_closed_stdout_exits_quietly():
+    # The console script's entry point, writing far more CSV than a pipe
+    # holds, so it is still writing when the reader leaves after one line.
+    src = os.path.dirname(os.path.dirname(burnkit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    script = "import sys; from burnkit.cli import main; sys.exit(main())"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script, "bounds", "20000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"t,lower,ub_floor,ub_sqrt,ratio\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert err == b""
+    assert proc.wait(timeout=60) == 1
