@@ -14,6 +14,7 @@ ceil((x + k)/2) = ceil((ceil(x) + k)/2) for integer k with x = 2*sqrt(n).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -56,16 +57,22 @@ class BoundRow:
     ratio: Fraction
 
 
-def bound_table(n: int) -> list[BoundRow]:
-    """One row per component count t = 1..n (balanced path forests of order n)."""
+def bound_table(n: int) -> Iterator[BoundRow]:
+    """One row per component count t = 1..n (balanced path forests of order n).
+
+    The rows are yielded one at a time, so a table of any n takes O(1)
+    memory; n < 1 raises at the call, not at the first row.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    rows = []
+    return _rows(n)
+
+
+def _rows(n: int) -> Iterator[BoundRow]:
     root, root4 = ceil_sqrt(n), ceil_sqrt(4 * n)
     for t in range(1, n + 1):
         lower = _lower(root, t)
         ubf = _ub_floor(n, t)
         ubs = _ub_sqrt(root, root4, t)
         best = ubf if ubs is None else min(ubf, ubs)
-        rows.append(BoundRow(t, lower, ubf, ubs, Fraction(best, lower)))
-    return rows
+        yield BoundRow(t, lower, ubf, ubs, Fraction(best, lower))

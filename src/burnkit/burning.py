@@ -6,11 +6,14 @@ graph burns by round M exactly when it admits a cover by closed balls
 N_{r_i}[v_i] whose sorted non-increasing radii satisfy r_(i) <= M - i:
 igniting the centers largest-radius-first realizes the cover as a schedule,
 and conversely the balls N_{T-i}[s_i] of a T-round schedule cover the graph.
+schedule_from_cover meets ids only at its boundary, one bulk conversion
+each way, and reads the rounds around its centers in bulk (closed_min).
 """
 
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 
 import numpy as np
 
@@ -34,7 +37,7 @@ _CLOSED_FORM_MIN_ORDER = 40
 
 
 def _source_indices(g: LabeledGraph, sources) -> np.ndarray:
-    idx = [g.index_of(v) for v in sources]
+    idx = g.indices_of(sources)
     if len(set(idx)) != len(idx):
         raise InstanceError("sources must be pairwise distinct")
     return np.asarray(idx, dtype=np.int32)
@@ -54,7 +57,7 @@ def _times_raw(g: LabeledGraph, source_idx: np.ndarray) -> np.ndarray:
 def _completion(times: np.ndarray) -> int | float:
     if times.size == 0:
         return 0
-    if (times < 0).any():
+    if times.min() < 0:
         return math.inf
     return int(times.max())
 
@@ -112,44 +115,38 @@ def schedule_from_cover(g: LabeledGraph, cover: BudgetedCover) -> BurnSchedule:
     """
     if g.order == 0:
         raise InstanceError("cannot schedule on an empty graph")
-    order = sorted(range(len(cover.pairs)), key=lambda i: -cover.pairs[i][1])
-    center_idx = [g.index_of(cover.pairs[i][0]) for i in order]
+    centers = [v for v, _ in sorted(cover.pairs, key=itemgetter(1), reverse=True)]
     M = cover.budget
-    sources, claimed = _schedule_sequential(g, center_idx, M)
+    sources, claimed = _schedule_sequential(g, g.indices_of(centers), M)
     if claimed == math.inf:
         raise CoverageError("cover leaves unreachable vertices unburned")
     if claimed > M:
         raise CoverageError(
             f"cover does not burn the graph within its budget ({claimed} > {M})"
         )
-    done = _completion(_times_raw(g, np.asarray(sources, dtype=np.int32)))
+    sources = np.asarray(sources, dtype=np.int32)
+    done = _completion(_times_raw(g, sources))
     if done != claimed:
         raise InternalContradictionError(
             f"constructed schedule burns by round {done}, not {claimed}"
         )
-    return BurnSchedule(tuple(g.vertices[i] for i in sources), claimed)
-
-
-def _any_before(times: np.ndarray, row, t: int) -> bool:
-    """Whether a vertex of the neighbour row burns before round t."""
-    if isinstance(row, np.ndarray):
-        # a CSR row or a spider's hub, whose row has an entry per arm: one read
-        return bool(row.size) and int(times[row].min()) < t
-    return any(times[v] < t for v in row)  # the one or two neighbours on a segment
+    return BurnSchedule(g.ids_of(sources), claimed)
 
 
 def _schedule_sequential(g: LabeledGraph, center_idx: list[int], M: int):
-    """Sources and completion round (inf if never) of the construction.
+    """Index sources and completion round (inf if never) of the construction.
 
     One kernel run over all centers seeds every vertex's first-burn round.
     The rounds are then walked in order, and the seeded rounds stay exact:
     a center already burned at its round adds nothing, because the fire
     that reached it dominates its ball, and each replacement or filler is
     ignited by `improve`, which relaxes only the vertices it burns sooner.
-    A center is burned at its round j iff its round is below j or a
-    neighbor's is below j; rounds below j depend only on the sources
-    ignited before round j.  Neighbours come from g.neighbors, so a path
-    forest or spider needs no CSR arrays here.
+    A center is burned at its round j iff its round or a neighbour's is
+    below j; rounds below j depend only on the sources ignited before
+    round j, and only `improve` changes them.  So one gather (g.closed_min)
+    reads the rounds around every open center, walked as plain ints up to
+    the first center burned before its round, and they are read again only
+    after its replacement; a path forest or spider needs no CSR arrays here.
     """
     neighbors = g.neighbors
     n = g.order
@@ -186,20 +183,26 @@ def _schedule_sequential(g: LabeledGraph, center_idx: list[int], M: int):
             cur_max -= 1
 
     canon = g.canonical_order()
-    sources: list[int] = []
+    sources = center_idx[:1]  # nothing burns before round 1
     unburned = 0  # every vertex before canon[unburned] has burned by round t
-    t = 0
-    for c in center_idx:
-        if cur_max <= t:
+    t = 1
+    while t < min(len(center_idx), cur_max):  # the graph burns by round cur_max
+        lows = g.closed_min(times, center_idx[t:cur_max])
+        late = next((j for j, low in enumerate(lows, t + 1) if low < j), None)
+        if late is None:
+            sources += center_idx[t:cur_max]
+            t += len(lows)
             break
-        t += 1
-        if times[c] < t or _any_before(times, neighbors(c), t):
-            if cur_max <= t:  # the spread of round t burned the graph
-                break
-            while times[canon[unburned]] <= t:
-                unburned += 1
-            c = int(canon[unburned])
-            improve(c, t)
+        sources += center_idx[t:late - 1]
+        t = late
+        if cur_max <= t:  # the spread of round t burned the graph
+            break
+        step = 64  # the smallest vertex unburned after round t, read in chunks
+        while not (hits := np.flatnonzero(times[canon[unburned:unburned + step]] > t)).size:
+            unburned, step = unburned + step, 2 * step
+        unburned += int(hits[0])
+        c = int(canon[unburned])
+        improve(c, t)
         sources.append(c)
 
     # A vertex unburned at the start of round t is no source yet, so the

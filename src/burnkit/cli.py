@@ -38,6 +38,7 @@ from .model import (
     LabeledGraph,
     PathForest,
     Spider,
+    check_order,
     format_vertex,
     graph_vertex,
     parse_vertex,
@@ -104,17 +105,19 @@ def _instance(kind: str, spec: list[str]):
     """(payload stub, instance) for one instance argument vector.
 
     The instance is a PathForest, a Spider, or for kind "graph" the
-    LabeledGraph read from the file.
+    LabeledGraph read from the file.  A path forest or spider of order
+    past model.MAX_ORDER is refused here, before any work of its order.
     """
     if kind == "pf":
         pf = PathForest(tuple(_ints(spec, "component orders")))
-        return {"kind": kind, "orders": list(pf.orders), "n": pf.n}, pf
+        return {"kind": kind, "orders": list(pf.orders), "n": check_order(pf.n)}, pf
     if kind == "path":
         order = _single_order(spec)
-        return {"kind": kind, "order": order, "n": order}, PathForest((order,))
+        pf = PathForest((order,))
+        return {"kind": kind, "order": order, "n": check_order(pf.n)}, pf
     if kind == "spider":
         sp = Spider(tuple(_ints(spec, "arm lengths")))
-        return {"kind": kind, "arms": list(sp.arms), "n": sp.n}, sp
+        return {"kind": kind, "arms": list(sp.arms), "n": check_order(sp.n)}, sp
     if len(spec) != 1:
         raise InstanceError("a graph instance is a single edge-list file")
     g = _load_graph(spec[0])

@@ -120,16 +120,18 @@ def burn_times_segments(lengths, hub: bool, sources, layout) -> np.ndarray:
     if k:
         _check_range(src.min(), src.max(), n)
     inf = n + k + 1  # above every reachable round, which is at most k + n - 1
-    first = np.full(n, inf, dtype=np.int64)
+    # every value below stays under segments * (inf + size): int32 if that fits
+    dt = np.int32 if len(lengths) * (inf + size) < 2**31 else np.int64
+    first = np.full(n, inf, dtype=dt)
     # ignition round of each source; a repeated one counts from its first
-    np.minimum.at(first, src, np.arange(1, k + 1))
+    np.minimum.at(first, src, np.arange(1, k + 1, dtype=dt))
 
     f = first[base:]
     # pos plus s * (inf + size) on segment s, so that each running minimum
     # below restarts at its segment: every value of a segment beats all
     # values carried over from the segments swept before it.  The spacing
     # grows with k, so it is recomputed on every call.
-    w = np.multiply(seg, inf + size, dtype=np.int64)
+    w = np.multiply(seg, inf + size, dtype=dt)
     w += pos
     up = f + w
     np.minimum.accumulate(up[::-1], out=up[::-1])
@@ -146,7 +148,7 @@ def burn_times_segments(lengths, hub: bool, sources, layout) -> np.ndarray:
         reach = np.arange(2, k + 2)[on_arm] + pos[src[on_arm] - 1]
         head = min(int(first[0]), int(reach.min(initial=inf)))
         first[0] = head
-        np.minimum(f, np.add(pos, head + 1, out=up, dtype=np.int64), out=f)
+        np.minimum(f, np.add(pos, head + 1, out=up, dtype=dt), out=f)
     if first.max(initial=0) >= inf:
         first[first >= inf] = -1
-    return first.astype(np.int32)
+    return first.astype(np.int32, copy=False)

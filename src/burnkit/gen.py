@@ -1,4 +1,7 @@
-"""Seeded random instance generators for tests and benchmarks."""
+"""Seeded random instance generators for tests and benchmarks.
+
+Orders past model.MAX_ORDER are refused before anything is drawn.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +10,7 @@ import random
 import numpy as np
 
 from .errors import InstanceError
-from .model import PathForest, Spider
+from .model import PathForest, Spider, check_order
 
 
 def _composition(rng: random.Random, total: int, parts: int) -> tuple[int, ...]:
@@ -24,6 +27,7 @@ def _composition(rng: random.Random, total: int, parts: int) -> tuple[int, ...]:
 def random_path_forest(rng: random.Random, n: int, t: int | None = None) -> PathForest:
     if n < 1:
         raise InstanceError("need at least one vertex")
+    check_order(n)
     if t is None:
         t = rng.randint(1, n)
     return PathForest(_composition(rng, n, t))
@@ -33,6 +37,7 @@ def random_spider(rng: random.Random, n: int, m: int | None = None) -> Spider:
     """Random spider of order n: a head plus m arms splitting n-1 vertices."""
     if n < 4:
         raise InstanceError("a spider has a head and at least 3 arm vertices")
+    check_order(n)
     if m is None:
         m = rng.randint(3, n - 1)
     if m < 3:

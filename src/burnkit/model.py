@@ -17,12 +17,13 @@ Vertex ids are plain tuples with a total lexicographic order:
 Within one graph only one family of ids appears (plus the head for spiders).
 Path-forest and spider graphs never store their ids: index and id convert
 into each other by arithmetic on the segment layout (see SegmentVertices),
-and an id tuple is built only when it is read.  They hold no adjacency
-arrays either: neighbours are arithmetic too (SegmentVertices.neighbors),
-and the closed-form kernel reads a position/segment layout computed once
-per graph.  Their CSR arrays are those neighbour rows packed, built only
-when something asks for them (the BFS kernel on graphs of order below 40,
-the exact solvers).  Graphs from edge lists come from the validated
+and an id tuple is built only when it is read, many in one pass (ids_of,
+indices_of).  They hold no adjacency arrays either: neighbours are
+arithmetic too (neighbors, and closed_min for many vertices at once), and
+the closed-form kernel reads a position/segment layout computed once per
+graph.  Their CSR arrays are those neighbour rows packed, built only when
+something asks for them (the BFS kernel on graphs of order below 40, the
+exact solvers).  Graphs from edge lists come from the validated
 constructor LabeledGraph(vertices, edges), which takes the ids as a
 sequence and the edges as pairs of vertex indices; they keep their ids in
 a tuple, look indices up in a dict and store their CSR arrays.
@@ -30,7 +31,6 @@ a tuple, look indices up in a dict and store their CSR arrays.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -100,6 +100,18 @@ def parse_vertex(text: str, kind: str) -> VertexId:
                 pass
         raise InstanceError(f"bad path-forest vertex {text!r}")
     raise InstanceError(f"unknown instance kind {kind!r}")
+
+
+# Indices, canonical orders and burn rounds are int32 arrays, so an
+# instance of larger order could not be indexed.
+MAX_ORDER = np.iinfo(np.int32).max
+
+
+def check_order(n: int) -> int:
+    """n, or InstanceError when it exceeds MAX_ORDER; costs no O(n) work."""
+    if n > MAX_ORDER:
+        raise InstanceError(f"order {n} exceeds {MAX_ORDER}, the largest int32 indices reach")
+    return n
 
 
 def ceil_sqrt(n: int) -> int:
@@ -188,12 +200,12 @@ class SegmentVertices(Sequence):
     then segment s (an arm or a component) occupies lengths[s] consecutive
     indices starting at offsets[s], ordered away from the hub.  Positions
     are 1-based on spider arms, ("a", s, 1) being next to the head, and
-    0-based on path components.  Index and id convert by arithmetic, so a
-    graph holds no id tuples and no lookup dict.  Neighbours are arithmetic
-    too (neighbors), and this is the one statement of the adjacency: a
-    graph's CSR arrays, when asked for, are these rows packed
-    (LabeledGraph.csr).  The closed-form kernel's layout is computed on the
-    first burn and kept (layout).
+    0-based on path components.  Index and id convert by arithmetic (ids,
+    locate), so a graph holds no id tuples and no lookup dict.  Neighbours
+    are arithmetic too (neighbors; closed_min applies the same rule to many
+    vertices at once), and a graph's CSR arrays, when asked for, are these
+    rows packed (LabeledGraph.csr).  The closed-form kernel's layout is
+    computed on the first burn and kept (layout).
     """
 
     __slots__ = ("lengths", "hub", "offsets", "_n", "_starts", "_layout")
@@ -202,57 +214,60 @@ class SegmentVertices(Sequence):
         self.lengths = np.asarray(lengths, dtype=np.int64)
         self.hub = hub
         ends = np.cumsum(self.lengths) + int(hub)
+        self._n = check_order(sum(lengths) + int(hub))  # before any work of its order
         self.offsets = ends - self.lengths
-        self._n = int(ends[-1])
-        self._starts = None  # for neighbors: byte i is 1 where a segment starts, and at n
+        self._starts = None  # by _mark_starts, for neighbors and closed_min
         self._layout = None
 
     def __len__(self) -> int:
         return self._n
 
-    def _vertex(self, seg: int, pos: int) -> VertexId:
-        return arm_vertex(seg, pos) if self.hub else comp_vertex(seg, pos)
-
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return tuple(self[j] for j in range(self._n)[i])
+            return self.ids(range(self._n)[i])
         i = _as_index(i)
         if i < 0:
             i += self._n
         if not 0 <= i < self._n:
             raise IndexError("vertex index out of range")
-        if self.hub and i == 0:
-            return HEAD
-        seg = bisect_right(self.offsets, i) - 1
-        return self._vertex(seg, i - int(self.offsets[seg]) + int(self.hub))
+        return self.ids((i,))[0]
 
     def __iter__(self):
-        if self.hub:
-            yield HEAD
-        first = int(self.hub)
-        for seg, length in enumerate(self.lengths.tolist()):
-            for pos in range(first, first + length):
-                yield self._vertex(seg, pos)
+        return iter(self.ids(np.arange(self._n)))
 
-    def _locate(self, v) -> int:
-        """Index of vertex id v, or -1 when v is not a vertex here.
+    def ids(self, indices) -> tuple[VertexId, ...]:
+        """The ids of indices (each in [0, n)), by one searchsorted over offsets."""
+        seg = self.offsets.searchsorted(indices, "right") - 1
+        pos = (indices - self.offsets[seg] + int(self.hub)).tolist()
+        tag = "a" if self.hub else "c"
+        return tuple([HEAD if s < 0 else (tag, s, p) for s, p in zip(seg.tolist(), pos)])
+
+    def locate(self, ids) -> list[int]:
+        """The index of every id, in one pass; -1 for one that is no vertex.
 
         Accepts exactly the ids equal to one of the id tuples, as a dict
         lookup would, and never an out-of-segment position.
         """
-        if not isinstance(v, tuple):
-            return -1
-        if self.hub and v == HEAD:
-            return 0
-        if len(v) != 3 or v[0] != ("a" if self.hub else "c"):
-            return -1
-        seg, pos = _exact_int(v[1]), _exact_int(v[2])
-        if seg is None or pos is None or not 0 <= seg < len(self.lengths):
-            return -1
-        pos -= int(self.hub)  # 0-based offset within the segment
-        if not 0 <= pos < self.lengths[seg]:
-            return -1
-        return int(self.offsets[seg]) + pos
+        tag, hub, lengths = ("a" if self.hub else "c"), int(self.hub), self.lengths
+        out = []
+        for v in ids:
+            if isinstance(v, tuple) and len(v) == 3 and v[0] == tag:
+                seg, pos = v[1:] if type(v[1]) is int is type(v[2]) else map(_exact_int, v[1:])
+                if seg is not None and pos is not None and 0 <= seg < len(lengths):
+                    pos -= hub  # 0-based offset within the segment
+                    if 0 <= pos < lengths.item(seg):
+                        out.append(self.offsets.item(seg) + pos)
+                        continue
+            out.append(0 if hub and isinstance(v, tuple) and v == HEAD else -1)
+        return out
+
+    def _mark_starts(self) -> bytes:
+        # byte i is 1 where a segment starts, at n and at the hub
+        marks = np.zeros(self._n + 1, dtype=np.uint8)
+        marks[self.offsets] = 1
+        marks[0] = marks[self._n] = 1
+        self._starts = marks.tobytes()
+        return self._starts
 
     def neighbors(self, i: int):
         """Indices adjacent to index i (0 <= i < n), ascending, by arithmetic.
@@ -264,12 +279,7 @@ class SegmentVertices(Sequence):
         """
         if self.hub and i == 0:
             return self.offsets
-        starts = self._starts
-        if starts is None:
-            marks = np.zeros(self._n + 1, dtype=np.uint8)
-            marks[self.offsets] = 1
-            marks[self._n] = 1
-            starts = self._starts = marks.tobytes()
+        starts = self._starts or self._mark_starts()
         row = []
         if not starts[i]:
             row.append(i - 1)
@@ -278,6 +288,18 @@ class SegmentVertices(Sequence):
         if not starts[i + 1]:
             row.append(i + 1)
         return row
+
+    def closed_min(self, times: np.ndarray, centers: list[int]) -> list[int]:
+        """Least of times over each center's rows of neighbors, in one gather."""
+        starts, hub = self._starts or self._mark_starts(), self.hub
+        # the hub's row is one min over the arm starts: the first to burn
+        first = int(self.offsets[times[self.offsets].argmin()]) if hub and 0 in centers else 0
+        rows = []  # previous vertex, center, next vertex; the center again for none
+        for c in centers:
+            rows += (c - 1 if not starts[c] else 0 if hub else c, c,
+                     c + 1 if not starts[c + 1] else c or first)
+        got = times[rows].tolist()
+        return list(map(min, got[::3], got[1::3], got[2::3]))
 
     def layout(self) -> tuple[np.ndarray, np.ndarray]:
         """engine.segment_layout of these segments, computed on first call."""
@@ -373,11 +395,26 @@ class LabeledGraph:
             return self.vertices.neighbors(i)
         return self._indices[self._indptr[i]:self._indptr[i + 1]]
 
-    def index_of(self, v) -> int:
-        i = self.vertices._locate(v) if self._index is None else self._index.get(v, -1)
-        if i < 0:
-            raise InstanceError(f"{v!r} is not a vertex of this graph")
-        return i
+    def closed_min(self, times: np.ndarray, centers: list[int]) -> list[int]:
+        """SegmentVertices.closed_min, or on CSR rows for an edge-list graph."""
+        if self._index is None:
+            return self.vertices.closed_min(times, centers)
+        ip, ix = self._indptr, self._indices
+        return [int(times[ix[ip[c]:ip[c + 1]]].min(initial=times[c])) for c in centers]
+
+    def indices_of(self, ids) -> list[int]:
+        """The index of every id, in one pass; InstanceError for a non-vertex."""
+        ids, index = tuple(ids), self._index
+        idx = self.vertices.locate(ids) if index is None else [index.get(v, -1) for v in ids]
+        if -1 in idx:
+            raise InstanceError(f"{ids[idx.index(-1)]!r} is not a vertex of this graph")
+        return idx
+
+    def ids_of(self, indices) -> tuple[VertexId, ...]:
+        """The ids at these vertex indices, in one pass."""
+        if self._index is None:
+            return self.vertices.ids(indices)
+        return tuple(self.vertices[i] for i in indices)
 
     def canonical_order(self) -> np.ndarray:
         """Vertex indices sorted by ascending VertexId (used for filler picks)."""

@@ -21,5 +21,5 @@ def spider_arm_sets(max_order):
 def neighbors(g, v):
     """The ids adjacent to v, read from v's row of the CSR arrays."""
     indptr, indices = g.csr()
-    i = g.index_of(v)
+    i = g.indices_of([v])[0]
     return tuple(g.vertices[j] for j in indices[indptr[i]:indptr[i + 1]])

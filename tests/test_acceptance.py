@@ -87,7 +87,7 @@ def test_a3_small_spider_anchors():
 
 def test_a4_bound_table_extremum():
     started = time.monotonic()
-    rows = bound_table(10000)
+    rows = list(bound_table(10000))
     best = max(row.ratio for row in rows)
     assert best == Fraction(3, 2)
     assert [row.t for row in rows if row.ratio == best] == [100]

@@ -40,8 +40,14 @@ def test_function_forms_match_table():
             assert row.ratio == Fraction(upper, row.lower)
 
 
+def test_bound_table_yields_its_rows():
+    rows = bound_table(50000)
+    assert next(rows) == BoundRow(1, 224, 25001, 224, Fraction(1))
+    assert sum(1 for _ in rows) == 49999
+
+
 def test_single_vertex_table():
-    rows = bound_table(1)
+    rows = list(bound_table(1))
     assert len(rows) == 1
     assert rows[0] == BoundRow(1, 1, 1, 1, Fraction(1))
     with pytest.raises(ValueError):
@@ -92,7 +98,7 @@ def test_bounds_sandwich_the_exact_value():
 
 
 def test_worst_ratio_at_ten_thousand_vertices():
-    rows = bound_table(10000)
+    rows = list(bound_table(10000))
     best = max(row.ratio for row in rows)
     assert best == Fraction(3, 2)
     argmax = [row.t for row in rows if row.ratio == best]

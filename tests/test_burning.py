@@ -322,6 +322,74 @@ def test_schedule_from_cover_matches_the_reference_construction():
     assert outcomes == {True, False}
 
 
+def replacements(cover, schedule):
+    """How many centers the schedule replaced, in radius order."""
+    centers = [v for v, _ in sorted(cover.pairs, key=lambda p: -p[1])]
+    return sum(a != b for a, b in zip(centers, schedule.sources))
+
+
+def random_edge_graph(rng):
+    """A small graph from an edge list: sparse or dense, often disconnected."""
+    n = rng.randint(1, 24)
+    ids = [model.graph_vertex(f"x{rng.randrange(1000)}-{i}") for i in range(n)]
+    p = rng.choice((0.05, 0.15, 0.4))
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+    return LabeledGraph(ids, edges)
+
+
+def test_edge_list_covers_match_the_reference_construction():
+    # Edge-list graphs read their rows from the CSR arrays; their ids sort
+    # apart from their indices, so replacements and fillers follow the
+    # canonical order, not the index order.
+    rng = random.Random(20261020)
+    outcomes = set()
+    for _ in range(300):
+        g = random_edge_graph(rng)
+        outcomes.add(matches_reference(g, random_cover(rng, g)))
+    assert outcomes == {True, False}
+
+
+def test_several_replacements_in_one_schedule():
+    # The second and third centers sit next to the first, so each is
+    # burned before its round and replaced by the smallest unburned vertex;
+    # the fourth, 0:1, burns only through the first replacement, 0:0, so
+    # it is caught only by reading the rounds again after a replacement.
+    g = pf_graph(60)
+    pairs = ((c(0, 30), 29), (c(0, 31), 5), (c(0, 29), 4), (c(0, 1), 3), (c(0, 45), 2))
+    cover = BudgetedCover(pairs, 30)
+    assert matches_reference(g, cover)
+    schedule = schedule_from_cover(g, cover)
+    assert replacements(cover, schedule) == 3
+    assert schedule.sources[:5] == (c(0, 30), c(0, 0), c(0, 2), c(0, 4), c(0, 45))
+
+    sp = Spider((15, 15, 15))  # order 46
+    g = spider_to_graph(sp)
+    assert g.order >= burning._CLOSED_FORM_MIN_ORDER
+    pairs = ((HEAD, 15), *((arm_vertex(i, 1), 5 - i) for i in range(3)), (arm_vertex(2, 14), 1))
+    cover = BudgetedCover(pairs, 20)
+    assert matches_reference(g, cover)
+    schedule = schedule_from_cover(g, cover)
+    assert replacements(cover, schedule) >= 3
+    assert schedule.sources[:4] == (HEAD, arm_vertex(0, 2), arm_vertex(0, 4), arm_vertex(0, 6))
+
+
+def test_hub_center_burned_through_an_arm_start():
+    # The head's round is its own center's round, but an arm start burned
+    # a round earlier, so the head had caught fire by then: only the min
+    # over the arm starts shows it.  Below and above the kernel cutoff.
+    for arms in ((4, 3, 3), (20, 20, 20)):
+        g = spider_to_graph(Spider(arms))
+        cover = BudgetedCover(((arm_vertex(1, 1), 20), (HEAD, 3), (arm_vertex(0, 4), 2)), 22)
+        assert matches_reference(g, cover)
+        schedule = schedule_from_cover(g, cover)
+        assert schedule.sources[1] != HEAD
+        # with the first ball three steps from the head, the head is its
+        # own center
+        cover = BudgetedCover(((arm_vertex(1, 3), 20), (HEAD, 19)), 22)
+        assert matches_reference(g, cover)
+        assert schedule_from_cover(g, cover).sources[1] == HEAD
+
+
 def test_large_segment_graphs_build_no_csr(monkeypatch):
     # From the closed-form cutoff up, a path forest or spider schedules,
     # verifies and simulates without adjacency arrays, and lays out its

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -14,9 +15,10 @@ import pytest
 
 import burnkit
 from burnkit import exact
-from burnkit.cli import _load_graph, fmt_ratio, main
+from burnkit.cli import _instance, _load_graph, fmt_ratio, main
 from burnkit.errors import InstanceError
 from burnkit.gen import random_path_forest
+from burnkit.model import MAX_ORDER
 
 
 def run(capsys, *argv):
@@ -250,6 +252,46 @@ def test_bounds_csv(capsys):
 def test_bounds_rejects_nonpositive(capsys):
     code, _, err = run(capsys, "bounds", "0")
     assert code == 2 and "at least 1" in err
+
+
+def test_bounds_streams_its_rows(monkeypatch):
+    # Each row is written as it is made: 50,000 rows, about 13 MB as a
+    # list, go out with a traced peak far below that.
+    class Sink(io.TextIOBase):
+        lines = 0
+
+        def write(self, text):
+            self.lines += text.count("\n")
+            return len(text)
+
+    sink = Sink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(["bounds", "50000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and sink.lines == 50001
+    assert peak < 1_000_000
+
+
+def test_orders_past_the_index_range_are_usage_errors(capsys):
+    # Index arrays are int32, so an order just past MAX_ORDER is refused
+    # before any work of its order: _instance builds only the instance,
+    # and exact and gen exit 2 without a search or a draw.
+    past = str(MAX_ORDER + 1)
+    for kind, spec in (("path", [past]), ("pf", [str(MAX_ORDER), "1"]),
+                       ("spider", [str(MAX_ORDER - 2), "1", "1"])):
+        with pytest.raises(InstanceError, match=str(MAX_ORDER)):
+            _instance(kind, spec)
+    payload, sp = _instance("spider", [str(MAX_ORDER - 3), "1", "1"])
+    assert payload["n"] == sp.n == MAX_ORDER
+    for argv in (("exact", "pf", str(MAX_ORDER), "1"), ("exact", "path", past),
+                 ("gen", "pf", past, "--parts", "2"), ("gen", "spider", past, "--arms", "3")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert str(MAX_ORDER) in err, argv
 
 
 def test_bench_output_shape(capsys):

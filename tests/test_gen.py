@@ -12,7 +12,7 @@ import pytest
 
 from burnkit.errors import InstanceError
 from burnkit.gen import _composition, random_path_forest, random_spider
-from burnkit.model import PathForest, Spider
+from burnkit.model import MAX_ORDER, PathForest, Spider
 
 
 def reference_composition(rng, total, parts):
@@ -57,3 +57,12 @@ def test_composition_rejects_impossible_splits():
     for total, parts in [(3, 0), (3, 4), (0, 1)]:
         with pytest.raises(InstanceError):
             _composition(random.Random(1), total, parts)
+
+
+def test_orders_past_the_index_range_are_refused_before_drawing():
+    for draw in (random_path_forest, random_spider):
+        rng = random.Random(1)
+        state = rng.getstate()
+        with pytest.raises(InstanceError, match=str(MAX_ORDER)):
+            draw(rng, MAX_ORDER + 1, 3)
+        assert rng.getstate() == state

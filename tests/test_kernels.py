@@ -100,7 +100,9 @@ def test_closed_form_matches_bfs_on_large_instances():
     rng = random.Random(7)
     spider = spider_to_graph(Spider(tuple(rng.randint(1, 300) for _ in range(40))))
     forest = path_forest_to_graph(PathForest(tuple(rng.randint(1, 300) for _ in range(40))))
-    for g in (path(5000), spider, forest):
+    # so many segments that the closed form's values pass the int32 range
+    wide = [path_forest_to_graph(PathForest((2,) * 40000)), spider_to_graph(Spider((1,) * 50000))]
+    for g in (path(5000), spider, forest, *wide):
         sources = rng.sample(range(g.order), 70)
         assert np.array_equal(closed_form(g, sources), csr(g, sources))
 

@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from burnkit import (
     spider_to_graph,
 )
 from burnkit.gen import random_path_forest, random_spider
-from burnkit.model import SegmentVertices
+from burnkit.model import MAX_ORDER, SegmentVertices
 
 
 def test_ceil_sqrt_small():
@@ -110,7 +111,7 @@ def test_labeled_graph_from_edges_matches_builder():
     edges = []
     for comp, a in enumerate(pf.orders):
         edges += [(comp_vertex(comp, i), comp_vertex(comp, i + 1)) for i in range(a - 1)]
-    slow = LabeledGraph(fast.vertices, [(fast.index_of(u), fast.index_of(v)) for u, v in edges])
+    slow = LabeledGraph(fast.vertices, [fast.indices_of(e) for e in edges])
     ip_f, idx_f = fast.csr()
     ip_s, idx_s = slow.csr()
     assert np.array_equal(ip_f, ip_s)
@@ -140,11 +141,11 @@ def test_labeled_graph_rejects_bad_edges():
 
 def test_labeled_graph_lookup():
     g = spider_to_graph(Spider((2, 1, 1)))
-    assert g.index_of(HEAD) == 0
-    assert g.vertices[g.index_of(arm_vertex(0, 2))] == arm_vertex(0, 2)
+    assert g.indices_of([HEAD])[0] == 0
+    assert g.vertices[g.indices_of([arm_vertex(0, 2)])[0]] == arm_vertex(0, 2)
     for v in (graph_vertex("nope"), arm_vertex(9, 9)):
         with pytest.raises(InstanceError):
-            g.index_of(v)
+            g.indices_of([v])
 
 
 # Path-forest and spider graphs map ids to indices by arithmetic; these ids
@@ -192,7 +193,7 @@ def test_arithmetic_lookup_rejects_ids_outside_the_segments():
     for g, bad_ids in _bad_id_cases():
         for v in bad_ids:
             with pytest.raises(InstanceError):
-                g.index_of(v)
+                g.indices_of([v])
 
 
 def test_arithmetic_lookup_agrees_with_a_dict_over_the_ids():
@@ -202,12 +203,16 @@ def test_arithmetic_lookup_agrees_with_a_dict_over_the_ids():
         # ids that compare equal to a vertex id are vertices, as in a dict
         equal = [(v[0], np.int64(v[1]), float(v[2])) for v in ids if len(v) == 3]
         equal += [(v[0], True, v[2]) for v in ids if len(v) == 3 and v[1] == 1]
+        # in one pass too; the first id that is no vertex is named
+        assert g.indices_of(ids + equal) == [index[v] for v in ids + equal]
+        with pytest.raises(InstanceError, match=re.escape(repr(bad_ids[0]))):
+            g.indices_of(ids + bad_ids + equal)
         for v in ids + equal + bad_ids:
             if v in index:
-                assert g.index_of(v) == index[v], v
+                assert g.indices_of([v])[0] == index[v], v
             else:
                 with pytest.raises(InstanceError):
-                    g.index_of(v)
+                    g.indices_of([v])
 
 
 def test_segment_vertices_behave_like_the_id_tuple():
@@ -230,7 +235,7 @@ def test_spider_graph_matches_the_validated_constructor():
     edges = [(HEAD, arm_vertex(arm, 1)) for arm in range(sp.m)]
     for arm, length in enumerate(sp.arms):
         edges += [(arm_vertex(arm, j), arm_vertex(arm, j + 1)) for j in range(1, length)]
-    slow = LabeledGraph(fast.vertices, [(fast.index_of(u), fast.index_of(v)) for u, v in edges])
+    slow = LabeledGraph(fast.vertices, [fast.indices_of(e) for e in edges])
     for a, b in zip(fast.csr(), slow.csr()):
         assert a.dtype == b.dtype and np.array_equal(a, b)
     canon = sorted(range(slow.order), key=slow.vertices.__getitem__)
@@ -296,3 +301,13 @@ def test_segment_graph_builds_its_csr_once_when_asked(monkeypatch):
     again = g.csr()
     assert asked == [0, 4, *range(g.order)]  # every row packed, once
     assert again[0] is indptr and again[1] is indices
+
+
+def test_segment_graphs_refuse_orders_past_the_index_range():
+    # Checked on the lengths alone, before anything of the order is
+    # allocated; the largest order passes.
+    for lengths, hub in (((MAX_ORDER + 1,), False), ((MAX_ORDER,), True),
+                         ((MAX_ORDER // 2, MAX_ORDER // 2, 2), False)):
+        with pytest.raises(InstanceError, match=str(MAX_ORDER)):
+            SegmentVertices(lengths, hub)
+    assert len(SegmentVertices((MAX_ORDER - 1,), hub=True)) == MAX_ORDER
