@@ -7,7 +7,9 @@ N_{r_i}[v_i] whose sorted non-increasing radii satisfy r_(i) <= M - i:
 igniting the centers largest-radius-first realizes the cover as a schedule,
 and conversely the balls N_{T-i}[s_i] of a T-round schedule cover the graph.
 schedule_from_cover meets ids only at its boundary, one bulk conversion
-each way, and reads the rounds around its centers in bulk (closed_min).
+each way.  In between it burns all of its sources, centers and fillers,
+in one kernel run, and burns again only after replacing a center that
+was already burned at its round.
 """
 
 from __future__ import annotations
@@ -136,87 +138,33 @@ def schedule_from_cover(g: LabeledGraph, cover: BudgetedCover) -> BurnSchedule:
 def _schedule_sequential(g: LabeledGraph, center_idx: list[int], M: int):
     """Index sources and completion round (inf if never) of the construction.
 
-    One kernel run over all centers seeds every vertex's first-burn round.
-    The rounds are then walked in order, and the seeded rounds stay exact:
-    a center already burned at its round adds nothing, because the fire
-    that reached it dominates its ball, and each replacement or filler is
-    ignited by `improve`, which relaxes only the vertices it burns sooner.
-    A center is burned at its round j iff its round or a neighbour's is
-    below j; rounds below j depend only on the sources ignited before
-    round j, and only `improve` changes them.  So one gather (g.closed_min)
-    reads the rounds around every open center, walked as plain ints up to
-    the first center burned before its round, and they are read again only
-    after its replacement; a path forest or spider needs no CSR arrays here.
+    Each pass burns the centers as replaced so far, followed by the fillers
+    (the smallest vertices in canonical order that are no center, up to M
+    sources in all), in one kernel run.  A center is burned at its round j
+    iff its round or a neighbour's is below j, and rounds below j depend
+    only on the sources of earlier rounds, so one gather (g.closed_min)
+    finds the first center burned at its round.  It adds nothing to the
+    fire, and the rounds up to its own are exact; it is replaced by the
+    smallest vertex still unburned after that round's spread, and the next
+    pass burns again and reads on from there.  Without such a center the
+    sources are cut at the completion round.
     """
-    neighbors = g.neighbors
-    n = g.order
-    # Marks the vertices that never burn.  It lies above every round: the
-    # seeded rounds are at most len(center_idx) + n - 1, and every later
-    # ignition is of a distinct vertex, so none comes after round n.
-    never = n + len(center_idx) + 1
-    times = _times_raw(g, np.asarray(center_idx, dtype=np.int32))
-    times[times < 0] = never
-    # Histogram of burn times so the running maximum is O(1) to maintain
-    # while ignitions improve individual vertices.
-    bins = np.bincount(times, minlength=never + 1)
-    cur_max = int(times.max())
-
-    def improve(w: int, t0: int):
-        nonlocal cur_max
-        bins[times[w]] -= 1
-        times[w] = t0
-        bins[t0] += 1
-        frontier = [w]
-        t = t0
-        while frontier:
-            t += 1
-            nxt = []
-            for u in frontier:
-                for v in neighbors(u):
-                    if t < times[v]:
-                        bins[times[v]] -= 1
-                        bins[t] += 1
-                        times[v] = t
-                        nxt.append(int(v))
-            frontier = nxt
-        while bins[cur_max] == 0:
-            cur_max -= 1
-
-    canon = g.canonical_order()
-    sources = center_idx[:1]  # nothing burns before round 1
-    unburned = 0  # every vertex before canon[unburned] has burned by round t
-    t = 1
-    while t < min(len(center_idx), cur_max):  # the graph burns by round cur_max
-        lows = g.closed_min(times, center_idx[t:cur_max])
-        late = next((j for j, low in enumerate(lows, t + 1) if low < j), None)
+    k, canon = len(center_idx), g.canonical_order()
+    fillers = canon[:M].tolist()  # at most k of these are centers
+    sources = list(center_idx)
+    fixed = 1  # the sources of rounds up to this one stand; none burns before round 1
+    while True:
+        taken = set(sources[:k])
+        sources[k:] = [v for v in fillers if v not in taken][:M - k]
+        times = _times_raw(g, np.asarray(sources, dtype=np.int32))
+        never = np.iinfo(times.dtype).max  # above every round
+        times[times < 0] = never
+        done = int(times.max())
+        lows = g.closed_min(times, sources[fixed:min(k, done)])
+        late = next((j for j, low in enumerate(lows, fixed + 1) if low < j), None)
         if late is None:
-            sources += center_idx[t:cur_max]
-            t += len(lows)
-            break
-        sources += center_idx[t:late - 1]
-        t = late
-        if cur_max <= t:  # the spread of round t burned the graph
-            break
-        step = 64  # the smallest vertex unburned after round t, read in chunks
-        while not (hits := np.flatnonzero(times[canon[unburned:unburned + step]] > t)).size:
-            unburned, step = unburned + step, 2 * step
-        unburned += int(hits[0])
-        c = int(canon[unburned])
-        improve(c, t)
-        sources.append(c)
-
-    # A vertex unburned at the start of round t is no source yet, so the
-    # scan for a filler stops before the end of canon.
-    visited = set(sources)
-    ptr = 0
-    while cur_max > t and len(sources) < M:
-        t += 1
-        while int(canon[ptr]) in visited:
-            ptr += 1
-        w = int(canon[ptr])
-        ptr += 1
-        visited.add(w)
-        sources.append(w)
-        if times[w] > t:
-            improve(w, t)
-    return sources, math.inf if cur_max == never else cur_max
+            return sources[:done], math.inf if done == never else done
+        if done == late:  # the spread of that round burned the graph
+            return sources[:late - 1], late
+        sources[late - 1] = int(canon[(times[canon] > late).argmax()])
+        fixed = late

@@ -19,14 +19,15 @@ Path-forest and spider graphs never store their ids: index and id convert
 into each other by arithmetic on the segment layout (see SegmentVertices),
 and an id tuple is built only when it is read, many in one pass (ids_of,
 indices_of).  They hold no adjacency arrays either: neighbours are
-arithmetic too (neighbors, and closed_min for many vertices at once), and
-the closed-form kernel reads a position/segment layout computed once per
-graph.  Their CSR arrays are those neighbour rows packed, built only when
-something asks for them (the BFS kernel on graphs of order below 40, the
-exact solvers).  Graphs from edge lists come from the validated
-constructor LabeledGraph(vertices, edges), which takes the ids as a
-sequence and the edges as pairs of vertex indices; they keep their ids in
-a tuple, look indices up in a dict and store their CSR arrays.
+arithmetic too (SegmentVertices.neighbors for one row, closed_min for
+the rows around many vertices at once), and the closed-form kernel reads
+a position/segment layout computed once per graph.  Their CSR arrays are
+those neighbour rows packed, built only when something asks for them
+(the BFS kernel on graphs of order below 40, the exact solvers).  Graphs
+from edge lists come from the validated constructor
+LabeledGraph(vertices, edges), which takes the ids as a sequence and the
+edges as pairs of vertex indices; they keep their ids in a tuple, look
+indices up in a dict and store their CSR arrays.
 """
 
 from __future__ import annotations
@@ -202,10 +203,12 @@ class SegmentVertices(Sequence):
     are 1-based on spider arms, ("a", s, 1) being next to the head, and
     0-based on path components.  Index and id convert by arithmetic (ids,
     locate), so a graph holds no id tuples and no lookup dict.  Neighbours
-    are arithmetic too (neighbors; closed_min applies the same rule to many
-    vertices at once), and a graph's CSR arrays, when asked for, are these
-    rows packed (LabeledGraph.csr).  The closed-form kernel's layout is
-    computed on the first burn and kept (layout).
+    are arithmetic too: neighbors gives one row, which only
+    LabeledGraph.csr reads, packing every row into the CSR arrays when
+    they are asked for; closed_min applies the same rule to the rows
+    around many vertices at once, for the schedule construction.  The
+    closed-form kernel's layout is computed on the first burn and kept
+    (layout).
     """
 
     __slots__ = ("lengths", "hub", "offsets", "_n", "_starts", "_layout")
@@ -318,10 +321,11 @@ class LabeledGraph:
     rejected.  Adjacency is kept as CSR int32 arrays with every row sorted,
     so the burn kernel can run on large instances.  `vertices` is a tuple
     for graphs built from edge lists and a SegmentVertices for path forests
-    and spiders.  Those compute `neighbors(i)` by arithmetic and hold no CSR
-    arrays until `csr()` is first called, which packs their neighbour rows
-    into the arrays and keeps them; on an edge-list graph `neighbors(i)`
-    reads row i of the CSR arrays.
+    and spiders.  Those hold no CSR arrays until `csr()` is first called,
+    which packs their arithmetic neighbour rows into the arrays and keeps
+    them.  `closed_min` reads the rounds around many vertices at once, by
+    arithmetic on a path forest or spider and from the CSR rows on an
+    edge-list graph.
     """
 
     __slots__ = ("vertices", "_indptr", "_indices", "_index", "_canon")
@@ -389,12 +393,6 @@ class LabeledGraph:
             self._indptr = indptr
         return self._indptr, self._indices
 
-    def neighbors(self, i: int):
-        """Indices adjacent to vertex index i, ascending: row i of csr()."""
-        if self._index is None:
-            return self.vertices.neighbors(i)
-        return self._indices[self._indptr[i]:self._indptr[i + 1]]
-
     def closed_min(self, times: np.ndarray, centers: list[int]) -> list[int]:
         """SegmentVertices.closed_min, or on CSR rows for an edge-list graph."""
         if self._index is None:
@@ -443,8 +441,9 @@ def spider_to_graph(sp: Spider) -> LabeledGraph:
 class BurnSchedule:
     """Ignition order: sources[i] is ignited at round i+1.
 
-    claimed_time is the round by which the whole graph is asserted burned;
-    verify_schedule checks the claim against the simulator.
+    claimed_time is the round by which the whole graph is asserted burned,
+    an integer (InstanceError for a float or a string); verify_schedule
+    checks the claim against the simulator.
     """
 
     sources: tuple[VertexId, ...]
@@ -453,6 +452,10 @@ class BurnSchedule:
     def __post_init__(self):
         sources = tuple(self.sources)
         object.__setattr__(self, "sources", sources)
+        try:
+            object.__setattr__(self, "claimed_time", _as_index(self.claimed_time))
+        except TypeError:
+            raise InstanceError(f"claimed_time must be an integer: {self.claimed_time!r}") from None
         if not sources:
             raise InstanceError("a schedule needs at least one source")
         if len(set(sources)) != len(sources):
@@ -471,14 +474,19 @@ class BudgetedCover:
     Sorted non-increasing radii must satisfy r_(i) <= M - i (1-based), the
     exact condition under which igniting the centers largest-radius-first
     burns everything the balls cover by round M.  Centers may repeat across
-    pairs; the pairs themselves are distinct.
+    pairs; the pairs themselves are distinct.  Radii and budget are
+    integers: BudgetError for a float or a string, never a truncation.
     """
 
     pairs: tuple[tuple[VertexId, int], ...]
     budget: int
 
     def __post_init__(self):
-        pairs = tuple((v, int(r)) for v, r in self.pairs)
+        try:
+            pairs = tuple((v, _as_index(r)) for v, r in self.pairs)
+            object.__setattr__(self, "budget", _as_index(self.budget))
+        except TypeError:
+            raise BudgetError("radii and budget must be integers") from None
         object.__setattr__(self, "pairs", pairs)
         if not pairs:
             raise InstanceError("a cover needs at least one pair")

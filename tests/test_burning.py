@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from conftest import neighbors, partitions
@@ -114,13 +115,24 @@ def test_cover_from_schedule_rejects_false_claims():
         cover_from_schedule(g, BurnSchedule((c(0, 0),), 2))
 
 
-def test_schedule_pads_with_fillers():
+def count_burns(monkeypatch):
+    """A list that grows by one for every burning._times_raw call."""
+    calls = []
+    real = burning._times_raw
+    monkeypatch.setattr(burning, "_times_raw", lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
+def test_schedule_pads_with_fillers(monkeypatch):
     # One radius-1 ball covers P3 under budget 2; the second round gets a
-    # filler source on the smallest unused vertex.
+    # filler source on the smallest unused vertex, in the same burn as the
+    # center, and one more burn checks the schedule.
     g = pf_graph(3)
     cover = BudgetedCover(((c(0, 1), 1),), 2)
+    burns = count_burns(monkeypatch)
     schedule = schedule_from_cover(g, cover)
     assert schedule == BurnSchedule((c(0, 1), c(0, 0)), 2)
+    assert len(burns) == 2
     assert verify_schedule(g, schedule)
 
 
@@ -135,6 +147,24 @@ def test_budget_slack_is_enforced():
         BudgetedCover(((c(0, 0), 0),), 0)
     with pytest.raises(InstanceError):
         BudgetedCover((), 3)
+
+
+def test_radii_budgets_and_claims_must_be_integers():
+    # Neither truncated nor parsed: 1.7 is no radius 1, "1" no radius.
+    for radius in (1.7, 1.0, "1", None):
+        with pytest.raises(BudgetError):
+            BudgetedCover(((c(0, 0), radius),), 3)
+    for budget in (2.5, 2.0, "2"):
+        with pytest.raises(BudgetError):
+            BudgetedCover(((c(0, 0), 0),), budget)
+    for claimed in (2.5, 2.0, "2"):
+        with pytest.raises(InstanceError):
+            BurnSchedule((c(0, 0),), claimed)
+    # integer types other than int are taken at their value
+    cover = BudgetedCover(((c(0, 0), np.int64(1)),), np.int32(2))
+    assert cover.pairs == ((c(0, 0), 1),) and cover.budget == 2
+    assert type(cover.pairs[0][1]) is int and type(cover.budget) is int
+    assert BurnSchedule((c(0, 0),), np.int64(3)).claimed_time == 3
 
 
 def test_non_covering_cover_fails_within_budget():
@@ -307,6 +337,11 @@ def test_schedule_from_cover_matches_the_reference_construction():
     cover = BudgetedCover(((c(0, 399), 0),), 300)
     assert matches_reference(pf_graph(400), cover)
     assert schedule_from_cover(pf_graph(400), cover).claimed_time == 201
+    # The second center burns from the first, and its replacement lies in
+    # a component the first burn never reaches.
+    cover = BudgetedCover(((c(0, 1), 0), (c(0, 0), 0)), 2)
+    assert matches_reference(pf_graph(3, 1), cover)
+    assert schedule_from_cover(pf_graph(3, 1), cover) == BurnSchedule((c(0, 1), c(1, 0)), 2)
 
     # Seeded covers on both sides of the order at which the kernel changes.
     rng = random.Random(20261018)
@@ -349,17 +384,20 @@ def test_edge_list_covers_match_the_reference_construction():
     assert outcomes == {True, False}
 
 
-def test_several_replacements_in_one_schedule():
+def test_several_replacements_in_one_schedule(monkeypatch):
     # The second and third centers sit next to the first, so each is
     # burned before its round and replaced by the smallest unburned vertex;
     # the fourth, 0:1, burns only through the first replacement, 0:0, so
-    # it is caught only by reading the rounds again after a replacement.
+    # it is caught only by burning again after a replacement.
     g = pf_graph(60)
     pairs = ((c(0, 30), 29), (c(0, 31), 5), (c(0, 29), 4), (c(0, 1), 3), (c(0, 45), 2))
     cover = BudgetedCover(pairs, 30)
     assert matches_reference(g, cover)
+    burns = count_burns(monkeypatch)
     schedule = schedule_from_cover(g, cover)
     assert replacements(cover, schedule) == 3
+    # one burn per pass, a pass per replacement, and one to check
+    assert len(burns) == 2 + 3
     assert schedule.sources[:5] == (c(0, 30), c(0, 0), c(0, 2), c(0, 4), c(0, 45))
 
     sp = Spider((15, 15, 15))  # order 46
