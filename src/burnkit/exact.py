@@ -16,8 +16,7 @@ Three independent routes to the optimum:
   be distributed among the components with every component getting at
   least its order.  Feasibility is decided by a largest-first assignment
   search over residual demands and is monotone in k, so the scan starts at
-  the lower bound and stops at the first hit.  A node budget, shared by
-  the scans of one call, bounds the search; past it the solver raises.
+  the lower bound and stops at the first hit.
 
 * naive_schedule_search: direct search over ignition sequences.  Kept
   deliberately close to the process definition so it can arbitrate if the
@@ -27,6 +26,9 @@ Three independent routes to the optimum:
   space enough to be usable through order 12.
 
 All three return the burning number together with a verified witness.
+Each also counts its search nodes over one call, all k together, against
+_NODE_BUDGET; past it the solver raises SizeGuardError (CLI exit 3), so an
+instance inside the order guard still cannot run on for minutes.
 """
 
 from __future__ import annotations
@@ -49,9 +51,9 @@ _COVER_MAX_ORDER = 40
 _PATH_FOREST_MAX_ORDER = 400
 _NAIVE_MAX_ORDER = 12
 
-# Search nodes _assign_intervals may visit over one exact_path_forest call
-# before it raises SizeGuardError.  A node count, not a clock, so the
-# outcome is the same on every machine.
+# Search nodes each solver may visit over one call, summed over the k it
+# tries, before it raises SizeGuardError.  A node count, not a clock, so
+# the outcome is the same on every machine.
 _NODE_BUDGET = 1_000_000
 
 
@@ -94,8 +96,9 @@ def exact_burning_number(g: LabeledGraph) -> tuple[int, BurnSchedule]:
     dist = _distance_rows(g, inf)
     ecc = [max(d for d in row if d < inf) for row in dist]
     pivot_order = sorted(range(n), key=lambda i: (-ecc[i], i))
+    nodes = [0]
     for k in range(max(1, _component_count(dist, inf)), n + 1):
-        assignment = _cover_search(n, k, dist, pivot_order)
+        assignment = _cover_search(n, k, dist, pivot_order, nodes)
         if assignment is None:
             continue
         pairs = tuple(
@@ -106,9 +109,13 @@ def exact_burning_number(g: LabeledGraph) -> tuple[int, BurnSchedule]:
 
 
 def _cover_search(
-    n: int, k: int, dist: list[list[int]], pivot_order: list[int]
+    n: int, k: int, dist: list[list[int]], pivot_order: list[int], nodes: list[int]
 ) -> list[tuple[int, int]] | None:
-    """Centers for balls of radii k-1..0 covering everything, or None."""
+    """Centers for balls of radii k-1..0 covering everything, or None.
+
+    nodes[0] counts the search nodes visited, carried over from earlier k;
+    past _NODE_BUDGET the search raises SizeGuardError.
+    """
     full = (1 << n) - 1
     balls: list[list[int]] = []
     for r in range(k):
@@ -129,6 +136,9 @@ def _cover_search(
     picked: list[tuple[int, int]] = []
 
     def dfs(uncovered: int, avail: int) -> bool:
+        nodes[0] += 1
+        if nodes[0] > _NODE_BUDGET:
+            raise SizeGuardError(f"exact search gave up after {_NODE_BUDGET} nodes")
         if uncovered == 0:
             return True
         if avail == 0:
@@ -258,8 +268,9 @@ def naive_schedule_search(g: LabeledGraph) -> tuple[int, BurnSchedule]:
     _guard_order(n, _NAIVE_MAX_ORDER, "naive search")
     inf = 10**9
     dist = _distance_rows(g, inf)
+    nodes = [0]
     for k in range(1, n + 1):
-        found = _sequence_search(n, k, dist)
+        found = _sequence_search(n, k, dist, nodes)
         if found is None:
             continue
         sources = tuple(g.vertices[i] for i in found)
@@ -269,12 +280,21 @@ def naive_schedule_search(g: LabeledGraph) -> tuple[int, BurnSchedule]:
     raise InternalContradictionError("no schedule of length n found")
 
 
-def _sequence_search(n: int, k: int, dist: list[list[int]]) -> list[int] | None:
+def _sequence_search(
+    n: int, k: int, dist: list[list[int]], nodes: list[int]
+) -> list[int] | None:
+    """Sources igniting rounds 1..k that burn everything by round k, or None.
+
+    nodes[0] counts the search nodes as in _cover_search.
+    """
     cap = k + 1
     failed: set[tuple[int, tuple[tuple[int, int], ...]]] = set()
     chosen: list[int] = []
 
     def dfs(j: int, proj: tuple[int, ...]) -> bool:
+        nodes[0] += 1
+        if nodes[0] > _NODE_BUDGET:
+            raise SizeGuardError(f"naive search gave up after {_NODE_BUDGET} nodes")
         if max(proj) <= k:
             return True
         if j == k:

@@ -11,7 +11,9 @@ cover within budget a = ceil_sqrt(n):
   vertices of the longest arm; the remainder (a smaller spider, or a path
   through the head once only two arms survive) has ceil-sqrt at most a-1,
   so repeating the split stacks strictly shrinking radii under the same
-  budget.
+  budget.  The arms sit in a heap from the first split on, so s splits of
+  a spider with m arms cost O(m + s log m), not a sort of every arm per
+  split.
 * the exceptional tight shape, a-1 arms all of length a+1 (n = a*a): a
   ball of radius a-1 on the first arm next to the head reaches everything
   except a length-3 stub on each other arm and the first arm's leaf;
@@ -32,7 +34,8 @@ InternalContradictionError rather than returning something unchecked.
 
 from __future__ import annotations
 
-from itertools import takewhile
+from heapq import heappop, heapreplace
+from itertools import repeat
 
 from .bounds import ub_floor
 from .burning import schedule_from_cover
@@ -79,92 +82,90 @@ def burn_path(order: int) -> tuple[BudgetedCover, BurnSchedule]:
 
 def burn_spider(sp: Spider) -> tuple[BudgetedCover, BurnSchedule]:
     """Cover and verified schedule burning a spider in <= ceil_sqrt(n) rounds."""
-    alpha = ceil_sqrt(sp.n)
-    pairs = _spider_pairs(sp.arms)
-    cover = BudgetedCover(tuple(pairs), alpha)
+    n = sp.n
+    pairs = _spider_pairs(sp.arms, n)
+    cover = BudgetedCover(tuple(pairs), ceil_sqrt(n))
     g = spider_to_graph(sp)
     schedule = schedule_from_cover(g, cover)
     return cover, schedule
 
 
-def _spider_pairs(arms: tuple[int, ...]) -> list[tuple[VertexId, int]]:
-    """Cover pairs for the spider with these arms (sorted non-increasing).
+def _spider_pairs(arms: tuple[int, ...], n: int) -> list[tuple[VertexId, int]]:
+    """Cover pairs for the spider of order n with arms sorted non-increasing.
 
-    The radii always fit the budget ceil_sqrt(1 + sum(arms)): each branch
-    either uses radii a-1, a-2, ... directly or splits off a radius a-1
-    ball and goes on with the remainder, whose own budget is at most a-1.
-    Splits run in a loop, since a spider of order n can take about sqrt(n)
-    of them.  Arm i of the current remainder lies on input arm origin[i];
-    a split keeps every surviving position.
+    The radii always fit the budget ceil_sqrt(n): each branch either uses
+    radii a-1, a-2, ... directly or splits off a radius a-1 ball and goes
+    on with the remainder, whose own budget is at most a-1.
+
+    A split takes the first arm of the remainder, whose arms are ordered
+    longest first, ties by their order before the split, with the stub of
+    the split arm first among equal lengths.  From the first split on, the
+    arms live in a heap of (-length, tie, input arm) that keeps this
+    order: a sorted input is already a heap, and each stub goes back in
+    with a tie key below every earlier one.  A split costs O(log m), so s
+    splits cost O(m + s log m), and a spider that never splits builds
+    nothing per arm.  The last phase reads at most a arms off the front.
     """
-    out: list[tuple[VertexId, int]] = []
-    origin = list(range(len(arms)))
+    pairs: list[tuple[VertexId, int]] = []
+    alpha = ceil_sqrt(n)
+    m = len(arms)
+    # (length, input arm) in the remainder's order
+    ordered = zip(arms, range(m))
+    if arms[0] >= 2 * alpha - 1:
+        heap = [(-length, i, i) for i, length in enumerate(arms)]
+        tie = 0
+        while True:
+            neg, _, arm = heap[0]
+            pairs.append((arm_vertex(arm, -neg - (alpha - 1)), alpha - 1))
+            stub = -neg - (2 * alpha - 1)
+            n -= 2 * alpha - 1
+            if stub:
+                tie -= 1
+                heapreplace(heap, (-stub, tie, arm))
+            else:
+                heappop(heap)
+                m -= 1
+            if m < 3:
+                # two arms and the head left over: a path, tiled from the
+                # first arm's leaf through the head to the second arm's leaf
+                (neg1, _, arm1), (neg2, _, arm2) = sorted(heap)
+                first, second = -neg1, -neg2
+                for c, r in _path_pairs(first + 1 + second):
+                    if c < first:
+                        pairs.append((arm_vertex(arm1, first - c), r))
+                    elif c == first:
+                        pairs.append((HEAD, r))
+                    else:
+                        pairs.append((arm_vertex(arm2, c - first), r))
+                return pairs
+            alpha = ceil_sqrt(n)
+            if -heap[0][0] < 2 * alpha - 1:
+                break
+        ordered = ((-neg, arm) for neg, _, arm in map(heappop, repeat(heap, m)))
 
-    def lift(pairs):
-        for v, r in pairs:
-            out.append((arm_vertex(origin[v[1]], v[2]) if v[0] == "a" else v, r))
-
-    while True:
-        n = 1 + sum(arms)
-        alpha = ceil_sqrt(n)
-        if arms[0] < 2 * alpha - 1:
+    # the arms with a tail past the head ball, up to one more than fits
+    tails = []
+    for length, arm in ordered:
+        if length < alpha or len(tails) == alpha:
             break
-        pair, survivors = _split_longest(arms, alpha)
-        lift([pair])
-        if len(survivors) < 3:
-            # two arms and the head left over: a path, tiled and mapped back
-            # (first arm reversed leaf-to-head, then the head, then the second arm)
-            first, second = arms[1], arms[2]
-            path = []
-            for c, r in _path_pairs(first + 1 + second):
-                if c < first:
-                    path.append((arm_vertex(1, first - c), r))
-                elif c == first:
-                    path.append((HEAD, r))
-                else:
-                    path.append((arm_vertex(2, c - first), r))
-            lift(path)
-            return out
-        arms = tuple(length for length, _ in survivors)
-        origin = [origin[i] for _, i in survivors]
-
-    if len(arms) == alpha - 1 and arms[0] == alpha + 1 and arms[-1] == alpha + 1:
+        tails.append((length, arm))
+    if m == alpha - 1 and len(tails) == m and tails[0][0] == tails[-1][0] == alpha + 1:
         # n == alpha**2 exactly; the head ball cannot finish this shape
-        pairs = [(arm_vertex(0, 1), alpha - 1)]
-        pairs += [(arm_vertex(i, alpha), alpha - 1 - i) for i in range(1, alpha - 1)]
-        pairs.append((arm_vertex(0, alpha + 1), 0))
+        arm0 = tails[0][1]
+        pairs.append((arm_vertex(arm0, 1), alpha - 1))
+        pairs += [
+            (arm_vertex(arm, alpha), alpha - 1 - i)
+            for i, (_, arm) in enumerate(tails[1:], start=1)
+        ]
+        pairs.append((arm_vertex(arm0, alpha + 1), 0))
     else:
-        pairs = _head_ball(arms, alpha)
-    lift(pairs)
-    return out
+        pairs += _head_ball(tails, alpha)
+    return pairs
 
 
-def _split_longest(
-    arms: tuple[int, ...], alpha: int
-) -> tuple[tuple[VertexId, int], list[tuple[int, int]]]:
-    """Split the 2a-1 tip off the longest arm as one radius a-1 ball.
-
-    Returns the (center, radius) pair and the surviving arms as (length,
-    index in arms), longest first and ties by index: every other arm, and
-    the stub of the longest arm if one is left.  Survivors keep their
-    positions.
-    """
-    longest = arms[0]
-    pair = (arm_vertex(0, longest - (alpha - 1)), alpha - 1)
-    stub = longest - (2 * alpha - 1)
-    survivors = [(arms[i], i) for i in range(1, len(arms))]
-    if stub:
-        survivors.append((stub, 0))
-    survivors.sort(key=lambda li: (-li[0], li[1]))
-    return pair, survivors
-
-
-def _head_ball(arms: tuple[int, ...], alpha: int) -> list[tuple[VertexId, int]]:
-    # arms are sorted non-increasing, so the arms with a tail are a prefix
-    residuals = sorted(
-        ((a - (alpha - 1), i) for i, a in enumerate(takewhile(lambda a: a >= alpha, arms))),
-        key=lambda hi: (-hi[0], hi[1]),
-    )
+def _head_ball(tails: list[tuple[int, int]], alpha: int) -> list[tuple[VertexId, int]]:
+    """Head ball and residual balls for these (length, arm) tails, longest first."""
+    residuals = [(length - (alpha - 1), i) for length, i in tails]
     t = len(residuals)
     if t >= alpha:
         raise InternalContradictionError(

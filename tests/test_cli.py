@@ -382,6 +382,12 @@ def test_size_guard_exit_code(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err.startswith("burnkit:")
+    # and past the ball-cover search's
+    monkeypatch.setattr(exact, "_NODE_BUDGET", 1_000)
+    code, out, err = run(capsys, "exact", "spider", "13", "13", "13")
+    assert code == 3
+    assert out == ""
+    assert "1000 nodes" in err
 
 
 def test_usage_errors(capsys):

@@ -137,6 +137,28 @@ def test_path_forest_search_stops_at_its_node_budget(monkeypatch):
     assert k == 20
 
 
+def test_cover_search_stops_at_its_node_budget(monkeypatch):
+    # about 4,300 nodes over k = 1..6 with the default budget
+    g = spider_to_graph(Spider((13, 13, 13)))
+    assert exact_burning_number(g)[0] == 6
+    monkeypatch.setattr(exact, "_NODE_BUDGET", 1_000)
+    with pytest.raises(SizeGuardError, match="1000 nodes"):
+        exact_burning_number(g)
+    k, _ = exact_burning_number(path_forest_to_graph(PathForest((4,))))
+    assert k == 2
+
+
+def test_sequence_search_stops_at_its_node_budget(monkeypatch):
+    # about 1,100 nodes over k = 1..4 with the default budget
+    g = path_forest_to_graph(PathForest((5, 4, 3)))
+    assert naive_schedule_search(g)[0] == 4
+    monkeypatch.setattr(exact, "_NODE_BUDGET", 500)
+    with pytest.raises(SizeGuardError, match="500 nodes"):
+        naive_schedule_search(g)
+    k, _ = naive_schedule_search(path_forest_to_graph(PathForest((4,))))
+    assert k == 2
+
+
 def test_empty_graph_is_rejected():
     with pytest.raises(InstanceError):
         exact_burning_number(LabeledGraph([]))

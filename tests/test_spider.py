@@ -1,6 +1,7 @@
 """Path tiling and the ceil-sqrt spider burner, branch by branch."""
 
 import random
+from math import isqrt
 
 import pytest
 
@@ -16,13 +17,7 @@ from burnkit.model import (
     comp_vertex,
     spider_to_graph,
 )
-from burnkit.spider import (
-    _path_pairs,
-    _spider_pairs,
-    _split_longest,
-    burn_path,
-    burn_spider,
-)
+from burnkit.spider import _path_pairs, _spider_pairs, burn_path, burn_spider
 
 
 def a(arm, pos):
@@ -58,45 +53,52 @@ def test_burn_path_meets_ceil_sqrt_everywhere():
         assert schedule.claimed_time <= ceil_sqrt(order)
 
 
+def pairs_of(arms):
+    return _spider_pairs(arms, 1 + sum(arms))
+
+
 def test_reduce_long_arm_chain():
-    pair, survivors = _split_longest((20, 1, 1), 5)
-    assert pair == (a(0, 16), 4)
-    assert survivors == [(11, 0), (1, 1), (1, 2)]
-    pair, survivors = _split_longest((11, 1, 1), 4)
-    assert pair == (a(0, 8), 3)
-    assert survivors == [(4, 0), (1, 1), (1, 2)]
+    # (20, 1, 1) at a = 5 loses the tip 12..20 of arm 0, which leaves the
+    # spider (11, 1, 1); at a = 4 that loses 5..11 and leaves (4, 1, 1).
+    # The stub stays arm 0 each time, so the remainders' pairs carry over.
+    assert pairs_of((20, 1, 1))[0] == (a(0, 16), 4)
+    assert pairs_of((20, 1, 1))[1:] == pairs_of((11, 1, 1))
+    assert pairs_of((11, 1, 1))[0] == (a(0, 8), 3)
+    assert pairs_of((11, 1, 1))[1:] == pairs_of((4, 1, 1))
+    assert pairs_of((4, 1, 1)) == [(HEAD, 2), (a(0, 3), 1)]
 
 
 def test_reduce_long_arm_renumbers_survivors():
     # The stub of arm 0 sorts after the two arms of length 8, so it becomes
     # arm 2 of the remainder, and the cover maps it back to arm 0.
-    pair, survivors = _split_longest((20, 8, 8), 7)
-    assert pair == (a(0, 14), 6)
-    assert survivors == [(8, 1), (8, 2), (7, 0)]
-    rest = _spider_pairs((8, 8, 7))
+    rest = pairs_of((8, 8, 7))
     assert rest == [(HEAD, 4), (a(0, 6), 3), (a(1, 6), 2), (a(2, 6), 1)]
     # remainder arms 0, 1, 2 are input arms 1, 2, 0
-    assert _spider_pairs((20, 8, 8)) == [
-        pair,
+    assert pairs_of((20, 8, 8)) == [
+        (a(0, 14), 6),
         (HEAD, 4),
         (a(1, 6), 3),
         (a(2, 6), 2),
         (a(0, 6), 1),
     ]
+    # A stub as long as untouched arms goes first among them: (18, 7, 7)
+    # leaves three arms of 7, which keep the input order.
+    assert pairs_of((18, 7, 7)) == [(a(0, 13), 5)] + pairs_of((7, 7, 7))
 
 
 def test_reduce_to_a_path_through_the_head():
     # Longest arm exactly 2a-1 and three arms total: after the trim only two
-    # arms and the head survive, which is a single path.
-    pair, survivors = _split_longest((7, 2, 2), 4)
-    assert pair == (a(0, 4), 3)
-    assert survivors == [(2, 1), (2, 2)]
+    # arms and the head survive, which is a single path, tiled from arm 1's
+    # leaf through the head to arm 2's leaf.
+    assert pairs_of((7, 2, 2)) == [(a(0, 4), 3), (HEAD, 2)]
+    assert _path_pairs(3 + 1 + 2) == [(2, 2), (4, 1)]
+    assert pairs_of((7, 3, 2)) == [(a(0, 4), 3), (a(1, 1), 2), (a(2, 1), 1)]
 
 
 def test_reduce_refuses_short_arms():
     # a = 6: an arm of 2a-1 = 11 is split, one of 10 is not.
-    assert _spider_pairs((11, 10, 10))[0] == (a(0, 6), 5)
-    assert _spider_pairs((10, 10, 10))[0] == (HEAD, 5)
+    assert pairs_of((11, 10, 10))[0] == (a(0, 6), 5)
+    assert pairs_of((10, 10, 10))[0] == (HEAD, 5)
 
 
 def test_small_spiders_burn_without_an_exact_search(monkeypatch):
@@ -210,12 +212,102 @@ def test_head_only_when_no_tails():
     assert schedule.claimed_time <= 6
 
 
+def reference_spider_pairs(arms):
+    """The split loop as _spider_pairs' docstring states it, one sort per split.
+
+    live lists the remainder's arms as (length, input arm), in order.  Once
+    no arm is long enough to split, the remainder is burned as a spider of
+    its own, which takes no split, and its arms are mapped back.  Returns
+    the pairs and the number of splits whose stub is as long as another
+    arm of the remainder.
+    """
+    live = list(zip(arms, range(len(arms))))
+    pairs, ties = [], 0
+    while True:
+        n = 1 + sum(length for length, _ in live)
+        alpha = ceil_sqrt(n)
+        length, arm = live[0]
+        if length < 2 * alpha - 1:
+            rest = _spider_pairs(tuple(length for length, _ in live), n)
+            pairs += [(v if v == HEAD else a(live[v[1]][1], v[2]), r) for v, r in rest]
+            return pairs, ties
+        pairs.append((a(arm, length - (alpha - 1)), alpha - 1))
+        stub = length - (2 * alpha - 1)
+        # survivors keep their index; the stub takes the split arm's index 0
+        ranked = [(length, j, arm) for j, (length, arm) in enumerate(live) if j]
+        ties += any(length == stub for length, _, _ in ranked)
+        if stub:
+            ranked.append((stub, 0, arm))
+        ranked.sort(key=lambda lja: (-lja[0], lja[1]))
+        live = [(length, arm) for length, _, arm in ranked]
+        if len(live) == 2:
+            (first, arm1), (second, arm2) = live
+            for c, r in _path_pairs(first + 1 + second):
+                if c < first:
+                    pairs.append((a(arm1, first - c), r))
+                elif c == first:
+                    pairs.append((HEAD, r))
+                else:
+                    pairs.append((a(arm2, c - first), r))
+            return pairs, ties
+
+
 def test_every_small_spider_burns_within_ceil_sqrt():
-    count = 0
+    # Each spider that takes a split also checks its pairs against the
+    # re-sorting reference loop.
+    count = splits = ties = 0
     for arms in spider_arm_sets(34):
-        check_spider(arms)
+        cover, _ = check_spider(arms)
         count += 1
-    assert count == 53657
+        if arms[0] >= 2 * ceil_sqrt(1 + sum(arms)) - 1:
+            ref, tied = reference_spider_pairs(arms)
+            assert list(cover.pairs) == ref, arms
+            splits += 1
+            ties += tied
+    # 19,246 spiders split; 8,431 of their splits leave a stub as long as
+    # another arm
+    assert (count, splits, ties) == (53657, 19246, 8431)
+
+
+def assert_splits_match_the_reference(arms):
+    ref, ties = reference_spider_pairs(arms)
+    assert _spider_pairs(arms, 1 + sum(arms)) == ref, arms
+    return ties
+
+
+def test_split_loop_matches_the_reference_on_tied_arms():
+    # Arm lengths come from a pool of two or three values.  Then a few
+    # splits are undone: an arm grows by 2a-1, a being the budget of the
+    # grown spider, so that splitting it leaves a stub as long as the arms
+    # it was drawn with.
+    ties = 0
+    for seed in range(400):
+        rng = random.Random(seed)
+        pool = [rng.randint(1, 30) for _ in range(rng.randint(2, 3))]
+        arms = [rng.choice(pool) for _ in range(rng.randint(3, 40))]
+        for _ in range(rng.randint(1, 4)):
+            alpha = ceil_sqrt(1 + sum(arms))
+            while ceil_sqrt(1 + sum(arms) + 2 * alpha - 1) != alpha:
+                alpha += 1
+            arms[rng.randrange(len(arms))] += 2 * alpha - 1
+        ties += assert_splits_match_the_reference(tuple(sorted(arms, reverse=True)))
+    # 1,190 splits, 677 of them with a stub as long as another arm
+    assert ties == 677
+
+
+def test_split_loop_matches_the_reference_on_many_arms():
+    assert_splits_match_the_reference((20000,) + (1,) * 20000)
+
+
+def test_split_loop_matches_the_reference_on_large_split_spiders():
+    # the shape of the benchmark's split spiders: order 1e5-2e5, at most
+    # isqrt(n) arms, so the longest arm splits many times
+    rng = random.Random(8)
+    for _ in range(4):
+        n = rng.randrange(100_000, 200_000)
+        sp = random_spider(rng, n, rng.randint(3, isqrt(n)))
+        assert sp.arms[0] >= 2 * ceil_sqrt(n) - 1
+        assert_splits_match_the_reference(sp.arms)
 
 
 def test_seeded_moderate_spiders_cover_every_branch():
