@@ -6,9 +6,13 @@ burn_times_segments serves path forests and spiders.  There every vertex
 burns at min_i (i + d(s_i, v)) and distances are arithmetic, so it is a
 closed form in numpy: the 1-D L1 distance transform (Felzenszwalb &
 Huttenlocher, "Distance transforms of sampled functions", 2012) run over
-each segment, plus a hub term for spiders.  It needs no adjacency arrays,
-only each vertex's segment and position (segment_layout), which a graph
-computes once and passes to every call.
+each segment that holds a source, plus a hub term for spiders.  A segment
+without a source takes arithmetic alone: a spider arm burns at the head's
+round plus its distance from the head, and a path component never burns.
+So a call costs O(k log k + touched vertices) for k sources, plus one fill
+of the n-vertex result.  It needs no adjacency arrays, only each vertex's
+segment and position (segment_layout), which a graph computes once and
+passes to every call.
 
 Which runs when: the simulator and the schedule construction
 (burning._times_raw) burn path forests and spiders of order at least
@@ -29,6 +33,15 @@ from .errors import InstanceError
 
 # Name of the CSR kernel, recorded in benchmark stamps.
 KERNEL_NAME = "python"
+
+
+# The closed form gathers the segments holding a source when they hold at
+# most this share of the vertices, and sweeps the whole layout in place
+# past it, where gathering and scattering cost more than skipping the
+# untouched vertices saves.  Measured crossover at order 2e5 with 450
+# sources (2 cores, Python 3.11, numpy 2.4): a share of 0.5-0.6 on 400
+# components of 500 and on a spider of 40 arms of 5000.
+_GATHER_MAX_SHARE = 0.5
 
 
 def _source_array(sources) -> np.ndarray:
@@ -100,16 +113,50 @@ def segment_layout(lengths) -> tuple[np.ndarray, np.ndarray]:
     return pos, seg
 
 
+def _sweep(f: np.ndarray, w: np.ndarray) -> None:
+    """f[v] = min of f[u] + |w[v] - w[u]| over u in v's segment, in place.
+
+    w is each vertex's position in its segment plus the segment's rank in
+    f times a spacing above f's largest value plus any segment's length, so
+    each running minimum below restarts at its segment: the first value of
+    a segment beats all values carried over from the segments before it.
+    The sweep's scratch arrays are as long as f.
+    """
+    up = f + w
+    np.minimum.accumulate(up[::-1], out=up[::-1])
+    up -= w
+    f -= w
+    np.minimum.accumulate(f, out=f)
+    f += w
+    np.minimum(f, up, out=f)
+
+
 def burn_times_segments(lengths, hub: bool, sources, layout) -> np.ndarray:
     """First-burn rounds on a path forest (hub=False) or spider (hub=True).
 
     Indices follow model.SegmentVertices: the hub, if any, is index 0, then
-    the segments of the given lengths lie contiguously, each ordered away
-    from the hub.  Same contract as burn_times_csr on that graph: sources[i]
-    is ignited in round i+1 (a no-op if already burned), and the result is
-    an int32 array of first-burn rounds, -1 for never burned.  layout is
-    segment_layout(lengths), which a graph computes once and keeps
-    (SegmentVertices.layout).
+    the segments of the given lengths (an integer array) lie contiguously,
+    each ordered away from the hub.  Same contract as burn_times_csr on that
+    graph: sources[i] is ignited in round i+1 (a no-op if already burned),
+    and the result is a fresh int32 array of first-burn rounds, -1 for never
+    burned.  layout is segment_layout(lengths), which a graph computes once
+    and keeps (SegmentVertices.layout).
+
+    Only the segments holding a source (the touched ones) need the sweep:
+    a spider arm without one burns at head + 1 + position, the head's round
+    following from the sources alone, and a path component without one
+    never burns.  So the sweep runs over the touched segments' vertices,
+    gathered into one array and scattered back, and the other vertices
+    take one fill of n: O(k log k + touched vertices) plus the fill.  When
+    the touched segments hold more than _GATHER_MAX_SHARE of the vertices,
+    the sweep runs over the whole layout in place instead.
+
+    Values stay below (swept segments) * (n + k + 1 + swept vertices), so
+    the sweep runs in int32 when that fits.  At order 2e5, int64 takes
+    some 5,400 segments when the whole layout is swept, and some 9,800
+    touched ones when they are gathered (at most k are), so it comes only
+    on instances with thousands of segments: when the touched ones hold
+    most of the vertices, or themselves number in the thousands.
     """
     pos, seg = layout
     base = int(hub)
@@ -117,38 +164,56 @@ def burn_times_segments(lengths, hub: bool, sources, layout) -> np.ndarray:
     n = base + size
     src = _source_array(sources)
     k = src.size
-    if k:
-        _check_range(src.min(), src.max(), n)
+    if not k:
+        return np.full(n, -1, dtype=np.int32)
+    _check_range(src.min(), src.max(), n)
     inf = n + k + 1  # above every reachable round, which is at most k + n - 1
-    # every value below stays under segments * (inf + size): int32 if that fits
-    dt = np.int32 if len(lengths) * (inf + size) < 2**31 else np.int64
-    first = np.full(n, inf, dtype=dt)
-    # ignition round of each source; a repeated one counts from its first
-    np.minimum.at(first, src, np.arange(1, k + 1, dtype=dt))
-
-    f = first[base:]
-    # pos plus s * (inf + size) on segment s, so that each running minimum
-    # below restarts at its segment: every value of a segment beats all
-    # values carried over from the segments swept before it.  The spacing
-    # grows with k, so it is recomputed on every call.
-    w = np.multiply(seg, inf + size, dtype=dt)
-    w += pos
-    up = f + w
-    np.minimum.accumulate(up[::-1], out=up[::-1])
-    up -= w
-    f -= w  # f is a view of first, so the sweeps below run in place
-    np.minimum.accumulate(f, out=f)
-    f += w
-    np.minimum(f, up, out=f)
+    rounds = np.arange(1, k + 1)
+    on_seg = src >= base
+    at = src[on_seg].astype(np.intp) - base  # layout index of each source on a segment
+    at_round = rounds[on_seg]
     if hub:
         # the head burns at its own ignition or when the first arm fire
         # arrives: source i, at position p of an arm, reaches it in
         # round i + p + 1
-        on_arm = src > 0
-        reach = np.arange(2, k + 2)[on_arm] + pos[src[on_arm] - 1]
-        head = min(int(first[0]), int(reach.min(initial=inf)))
-        first[0] = head
-        np.minimum(f, np.add(pos, head + 1, out=up, dtype=dt), out=f)
-    if first.max(initial=0) >= inf:
-        first[first >= inf] = -1
-    return first.astype(np.int32, copy=False)
+        head = int(min(rounds[~on_seg].min(initial=inf), (at_round + pos[at]).min(initial=inf) + 1))
+    touched, lead, rank = np.unique(seg[at], return_index=True, return_inverse=True)
+    lens = np.asarray(lengths)[touched]
+    total = int(lens.sum())
+
+    if total > _GATHER_MAX_SHARE * size:
+        # every value below stays under segments * (inf + size): int32 if that fits
+        dt = np.int32 if len(lengths) * (inf + size) < 2**31 else np.int64
+        times = np.full(n, inf, dtype=dt)
+        f = times[base:]  # a view, so the sweep runs in place
+        np.minimum.at(f, at, at_round.astype(dt))  # a repeated source counts from its first
+        w = np.multiply(seg, inf + size, dtype=dt)
+        w += pos
+        _sweep(f, w)
+        if hub:
+            times[0] = head
+            np.minimum(f, np.add(pos, head + 1, out=w, dtype=dt), out=f)
+        if times.max() >= inf:
+            times[times >= inf] = -1
+        return times.astype(np.int32, copy=False)
+
+    # touched segment j lies at starts[j] in the gathered order and begins
+    # at its lead source's layout index less that source's position
+    starts = np.cumsum(lens) - lens
+    gather = np.arange(total) + np.repeat(at[lead] - pos[at[lead]] - starts, lens)
+    spacing = inf + total  # every value below stays under touched * spacing
+    dt = np.int32 if touched.size * spacing < 2**31 else np.int64
+    f = np.full(total, inf, dtype=dt)
+    np.minimum.at(f, starts[rank] + pos[at], at_round.astype(dt))
+    w = np.arange(total, dtype=dt)
+    w += np.repeat((np.arange(touched.size) * spacing - starts).astype(dt), lens)
+    _sweep(f, w)
+    times = np.empty(n, dtype=np.int32)
+    if hub:
+        times[0] = head
+        np.add(pos, head + 1, out=times[1:])
+        np.minimum(f, times[1:][gather], out=f)
+    else:
+        times.fill(-1)
+    times[base:][gather] = f
+    return times

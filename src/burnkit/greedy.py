@@ -44,6 +44,7 @@ from .model import (
     PathForest,
     VertexId,
     ceil_sqrt,
+    check_order,
     comp_vertex,
     path_center,
     path_forest_to_graph,
@@ -128,6 +129,7 @@ def greedy_budget(pf: PathForest) -> int:
 
 def greedy_burn(pf: PathForest) -> tuple[BudgetedCover, BurnSchedule, GreedyTrace]:
     """Cover, verified schedule and step trace for burning pf greedily."""
+    check_order(pf.n)  # before any work of its order
     pairs, trace = _greedy_pairs(pf)
     cover = BudgetedCover(tuple(pairs), greedy_budget(pf))
     g = path_forest_to_graph(pf)

@@ -214,10 +214,10 @@ class SegmentVertices(Sequence):
     __slots__ = ("lengths", "hub", "offsets", "_n", "_starts", "_layout")
 
     def __init__(self, lengths: tuple[int, ...], hub: bool):
+        self._n = check_order(sum(lengths) + int(hub))  # before any work of its order
         self.lengths = np.asarray(lengths, dtype=np.int64)
         self.hub = hub
         ends = np.cumsum(self.lengths) + int(hub)
-        self._n = check_order(sum(lengths) + int(hub))  # before any work of its order
         self.offsets = ends - self.lengths
         self._starts = None  # by _mark_starts, for neighbors and closed_min
         self._layout = None

@@ -50,6 +50,7 @@ from .model import (
     VertexId,
     arm_vertex,
     ceil_sqrt,
+    check_order,
     comp_vertex,
     path_forest_to_graph,
     spider_to_graph,
@@ -72,6 +73,7 @@ def _path_pairs(order: int) -> list[tuple[int, int]]:
 
 def burn_path(order: int) -> tuple[BudgetedCover, BurnSchedule]:
     """Cover and verified schedule burning a path in ceil_sqrt(order) rounds."""
+    check_order(order)  # before any work of its order
     pf = PathForest((order,))
     pairs = tuple((comp_vertex(0, c), r) for c, r in _path_pairs(order))
     cover = BudgetedCover(pairs, ceil_sqrt(order))
@@ -82,7 +84,7 @@ def burn_path(order: int) -> tuple[BudgetedCover, BurnSchedule]:
 
 def burn_spider(sp: Spider) -> tuple[BudgetedCover, BurnSchedule]:
     """Cover and verified schedule burning a spider in <= ceil_sqrt(n) rounds."""
-    n = sp.n
+    n = check_order(sp.n)  # before any work of its order
     pairs = _spider_pairs(sp.arms, n)
     cover = BudgetedCover(tuple(pairs), ceil_sqrt(n))
     g = spider_to_graph(sp)

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import partitions
+from burnkit import greedy
 from burnkit.burning import verify_schedule
+from burnkit.errors import InstanceError
 from burnkit.greedy import (
     _greedy_pairs,
     greedy_budget,
@@ -16,7 +18,7 @@ from burnkit.greedy import (
     greedy_radius,
 )
 from burnkit.gen import random_path_forest
-from burnkit.model import PathForest, ceil_sqrt, comp_vertex, path_forest_to_graph
+from burnkit.model import MAX_ORDER, PathForest, ceil_sqrt, comp_vertex, path_forest_to_graph
 
 
 def c(comp, pos):
@@ -252,3 +254,14 @@ def test_random_instances_never_blow_the_budget(orders):
     pf = PathForest(tuple(orders))
     cover, schedule, _ = greedy_burn(pf)
     assert schedule.claimed_time <= cover.budget
+
+
+def test_greedy_burn_refuses_huge_orders_before_any_work(monkeypatch):
+    # The order is checked first: the greedy loop would not end on 2**64.
+    def unreachable(*args):
+        raise AssertionError("the greedy loop ran")
+
+    monkeypatch.setattr(greedy, "_greedy_pairs", unreachable)
+    for orders in ((2**64,), (MAX_ORDER, 1)):
+        with pytest.raises(InstanceError, match=str(MAX_ORDER)):
+            greedy_burn(PathForest(orders))

@@ -100,11 +100,93 @@ def test_closed_form_matches_bfs_on_large_instances():
     rng = random.Random(7)
     spider = spider_to_graph(Spider(tuple(rng.randint(1, 300) for _ in range(40))))
     forest = path_forest_to_graph(PathForest(tuple(rng.randint(1, 300) for _ in range(40))))
-    # so many segments that the closed form's values pass the int32 range
+    # many segments, few of them holding a source
     wide = [path_forest_to_graph(PathForest((2,) * 40000)), spider_to_graph(Spider((1,) * 50000))]
     for g in (path(5000), spider, forest, *wide):
         sources = rng.sample(range(g.order), 70)
         assert np.array_equal(closed_form(g, sources), csr(g, sources))
+
+
+def record_sweeps(monkeypatch):
+    """(vertices swept, dtype) of every sweep the closed form runs."""
+    sweeps = []
+    real = engine._sweep
+    monkeypatch.setattr(engine, "_sweep",
+                        lambda f, w: sweeps.append((f.size, f.dtype)) or real(f, w))
+    return sweeps
+
+
+def test_closed_form_sweeps_only_the_touched_segments(monkeypatch):
+    # A spider of order 4,001 with sources on 3 of its 40 arms: only those
+    # 300 vertices are swept, the other arms and the head by arithmetic.
+    sweeps = record_sweeps(monkeypatch)
+    g = spider_to_graph(Spider((100,) * 40))
+    sources = [1 + 250, 1 + 5 * 100, 1 + 250, 1 + 39 * 100 + 99, 1 + 5 * 100 + 1]
+    assert np.array_equal(closed_form(g, sources), csr(g, sources))
+    assert sweeps == [(300, np.int32)]
+
+
+def test_closed_form_covers_both_sweeps_in_both_dtypes(monkeypatch):
+    # 40,000 components of order 2, one source each in some of them: with
+    # the source-holding components in the minority their vertices are
+    # gathered, past it the sweep runs over every vertex.  Both pass the
+    # int32 range on this many segments.
+    sweeps = record_sweeps(monkeypatch)
+    g = path_forest_to_graph(PathForest((2,) * 40000))
+    rng = random.Random(11)
+    for touched, swept in ((500, 1000), (18000, 36000), (36000, g.order)):
+        comps = rng.sample(range(40000), touched)
+        sources = [2 * c + rng.randrange(2) for c in comps]
+        assert np.array_equal(closed_form(g, sources), csr(g, sources)), touched
+        assert sweeps[-1][0] == swept
+    assert [dtype for _, dtype in sweeps] == [np.int32, np.int64, np.int64]
+
+
+def test_closed_form_head_alone():
+    # The head as the only source, once or repeated: no arm is swept and
+    # every arm vertex burns at its distance from the head plus one.
+    g = spider_to_graph(Spider((30, 20, 10, 5)))
+    for sources in ([0], [0, 0, 0]):
+        times = closed_form(g, sources)
+        assert np.array_equal(times, csr(g, sources))
+        assert times[0] == 1 and times[1:31].tolist() == list(range(2, 32))
+
+
+def test_closed_form_touched_minority_with_repeats_and_burned_sources():
+    # Spiders and forests of order well past the closed form's threshold,
+    # with sources on a few segments only: repeated sources, and sources
+    # the fire reached before their round (including the head), must
+    # leave the gathered sweep exact.
+    rng = random.Random(20261020)
+    for _ in range(300):
+        segments = tuple(rng.randint(1, 60) for _ in range(rng.randint(3, 40)))
+        if rng.random() < 0.5:
+            g = spider_to_graph(Spider(segments))
+        else:
+            g = path_forest_to_graph(PathForest(segments))
+        offsets, lengths = g.segments.offsets, g.segments.lengths
+        few = rng.sample(range(len(lengths)), rng.randint(1, 3))
+        pool = [int(offsets[s]) + rng.randrange(int(lengths[s])) for s in few for _ in range(3)]
+        if g.segments.hub:
+            pool.append(0)
+        sources = [rng.choice(pool) for _ in range(rng.randint(1, 12))]
+        # a neighbour of an earlier source, ignited after the fire got there
+        first = sources[0]
+        sources.append(first + 1 if first + 1 < g.order else first - 1)
+        got = closed_form(g, sources)
+        assert np.array_equal(got, csr(g, sources)), (segments, g.segments.hub, sources)
+
+
+def test_closed_form_returns_a_fresh_writable_array_each_call():
+    # The schedule construction writes into the rounds it gets back.
+    for g, sources in ((spider_to_graph(Spider((30, 20, 10))), [5]),  # gathered
+                       (spider_to_graph(Spider((30, 20, 10))), [5, 35, 55]),  # whole layout
+                       (path_forest_to_graph(PathForest((30, 20, 10))), [40])):
+        a, b = closed_form(g, sources), closed_form(g, sources)
+        assert a is not b and not np.shares_memory(a, b)
+        assert a.flags.writeable and a.dtype == np.int32
+        a[:] = -7
+        assert np.array_equal(b, csr(g, sources))
 
 
 def test_closed_form_without_sources_burns_nothing():
@@ -127,7 +209,8 @@ def test_closed_form_source_already_burned_at_its_round():
 
 def test_closed_form_leaves_unreached_components_at_minus_one():
     g = path_forest_to_graph(PathForest((4, 3, 2, 1)))
-    # components start at indices 0, 4, 7, 9; burn only the second and last
+    # components start at indices 0, 4, 7, 9; burn only the second and
+    # last, whose 4 of 10 vertices the closed form gathers around the third
     expected = [-1] * 4 + [2, 1, 2] + [-1] * 2 + [2]
     assert closed_form(g, [5, 9]).tolist() == expected
     assert csr(g, [5, 9]).tolist() == expected

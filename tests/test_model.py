@@ -312,3 +312,8 @@ def test_segment_graphs_refuse_orders_past_the_index_range():
         with pytest.raises(InstanceError, match=str(MAX_ORDER)):
             SegmentVertices(lengths, hub)
     assert len(SegmentVertices((MAX_ORDER - 1,), hub=True)) == MAX_ORDER
+    # lengths past int64 too: the order is checked before the conversion
+    with pytest.raises(InstanceError, match=str(MAX_ORDER)):
+        path_forest_to_graph(PathForest((2**64,)))
+    with pytest.raises(InstanceError, match=str(MAX_ORDER)):
+        spider_to_graph(Spider((2**64, 1, 1)))

@@ -6,11 +6,13 @@ from math import isqrt
 import pytest
 
 from conftest import spider_arm_sets
-from burnkit import exact
+from burnkit import exact, spider
 from burnkit.burning import verify_schedule
+from burnkit.errors import InstanceError
 from burnkit.gen import random_spider
 from burnkit.model import (
     HEAD,
+    MAX_ORDER,
     Spider,
     arm_vertex,
     ceil_sqrt,
@@ -34,6 +36,21 @@ def test_path_tiling_positions():
     assert _path_pairs(3) == [(1, 1)]
     assert _path_pairs(4) == [(1, 1), (3, 0)]
     assert _path_pairs(16) == [(3, 3), (9, 2), (13, 1), (15, 0)]
+
+
+def test_burners_refuse_huge_orders_before_any_work(monkeypatch):
+    # The order is checked first: the split loop and the tiling would run
+    # for seconds, or never end, on orders no index array can hold.
+    def unreachable(*args):
+        raise AssertionError("the construction ran")
+
+    monkeypatch.setattr(spider, "_spider_pairs", unreachable)
+    monkeypatch.setattr(spider, "_path_pairs", unreachable)
+    for burn, instance in ((burn_spider, Spider((2**40, 1, 1))),
+                           (burn_spider, Spider((MAX_ORDER - 2, 1, 1))),
+                           (burn_path, 2**64), (burn_path, MAX_ORDER + 1)):
+        with pytest.raises(InstanceError, match=str(MAX_ORDER)):
+            burn(instance)
 
 
 def test_burn_path_small_orders():
