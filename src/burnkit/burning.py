@@ -29,13 +29,13 @@ from .errors import (
 from .model import BudgetedCover, BurnSchedule, LabeledGraph, VertexId
 
 # Path forests and spiders of at least this order burn through the closed
-# form, on a layout each graph computes once; below it the BFS is faster,
-# because the closed form has a fixed numpy cost of some 35 us a call.  A
-# graph packs its neighbour rows into CSR arrays only to take the BFS.
-# Measured crossover of graph build plus seed and verify burns, with the
-# packed CSR (2 cores, Python 3.11, numpy 2.4): order 36-39 on path
-# forests, 42-45 on spiders.
-_CLOSED_FORM_MIN_ORDER = 40
+# form; below it the BFS is faster, because the closed form has a fixed
+# numpy cost of some 40 us a call.  A graph packs its neighbour rows into
+# CSR arrays only to take the BFS.  Measured crossover of graph build plus
+# seed and verify burns, BFS on the packed CSR against the closed form,
+# median of 30 random shapes per order, three seeds (2 cores, Python 3.11,
+# numpy 2.4): order 57-66 on path forests, 78-84 on spiders.
+_CLOSED_FORM_MIN_ORDER = 64
 
 
 def _source_indices(g: LabeledGraph, sources) -> np.ndarray:
@@ -50,7 +50,7 @@ def _times_raw(g: LabeledGraph, source_idx: np.ndarray) -> np.ndarray:
     segments = g.segments
     if segments is not None and g.order >= _CLOSED_FORM_MIN_ORDER:
         return engine.burn_times_segments(
-            segments.lengths, segments.hub, source_idx, segments.layout()
+            segments.lengths, segments.hub, source_idx, segments.offsets, segments.depth()
         )
     indptr, indices = g.csr()
     return engine.burn_times_csr(indptr, indices, source_idx)

@@ -10,13 +10,14 @@ each segment that holds a source, plus a hub term for spiders.  A segment
 without a source takes arithmetic alone: a spider arm burns at the head's
 round plus its distance from the head, and a path component never burns.
 So a call costs O(k log k + touched vertices) for k sources, plus one fill
-of the n-vertex result.  It needs no adjacency arrays, only each vertex's
-segment and position (segment_layout), which a graph computes once and
-passes to every call.
+of the n-vertex result.  It needs no adjacency arrays, only the offset
+of each segment and, on a spider, each arm vertex's depth (arm_depth),
+which the graph computes on its first burn and passes to every call; a
+path forest needs nothing per vertex.
 
 Which runs when: the simulator and the schedule construction
 (burning._times_raw) burn path forests and spiders of order at least
-burning._CLOSED_FORM_MIN_ORDER (40) through the closed form, whose fixed
+burning._CLOSED_FORM_MIN_ORDER (64) through the closed form, whose fixed
 numpy cost the BFS undercuts on smaller ones.  Edge-list graphs, smaller
 path forests and spiders, and the exact solvers' distance rows go
 through the BFS; only then does a path forest or spider build CSR
@@ -33,15 +34,6 @@ from .errors import InstanceError
 
 # Name of the CSR kernel, recorded in benchmark stamps.
 KERNEL_NAME = "python"
-
-
-# The closed form gathers the segments holding a source when they hold at
-# most this share of the vertices, and sweeps the whole layout in place
-# past it, where gathering and scattering cost more than skipping the
-# untouched vertices saves.  Measured crossover at order 2e5 with 450
-# sources (2 cores, Python 3.11, numpy 2.4): a share of 0.5-0.6 on 400
-# components of 500 and on a spider of 40 arms of 5000.
-_GATHER_MAX_SHARE = 0.5
 
 
 def _source_array(sources) -> np.ndarray:
@@ -99,18 +91,16 @@ def burn_times_csr(indptr, indices, sources) -> np.ndarray:
     return np.asarray(times, dtype=np.int32)
 
 
-def segment_layout(lengths) -> tuple[np.ndarray, np.ndarray]:
-    """(pos, seg) int32 arrays over the segment vertices, in index order.
+def arm_depth(lengths) -> np.ndarray:
+    """Each arm vertex's position along its arm, 0 next to the head (int32).
 
-    seg is the index of the vertex's segment and pos its position within
-    it, 0 nearest the hub (on a spider arm that is the distance to the
-    head minus one).  The hub itself has no entry.
+    Over the arms of the given lengths, in index order; the head has no
+    entry.  A spider graph computes it once (SegmentVertices.depth), for
+    the arms that hold no source.
     """
     lens = np.asarray(lengths, dtype=np.int64)
-    seg = np.repeat(np.arange(lens.size, dtype=np.int32), lens)
-    pos = np.arange(seg.size, dtype=np.int32)
-    pos -= np.repeat((np.cumsum(lens) - lens).astype(np.int32), lens)
-    return pos, seg
+    starts = (np.cumsum(lens) - lens).astype(np.int32)
+    return np.arange(lens.sum(), dtype=np.int32) - np.repeat(starts, lens)
 
 
 def _sweep(f: np.ndarray, w: np.ndarray) -> None:
@@ -131,89 +121,79 @@ def _sweep(f: np.ndarray, w: np.ndarray) -> None:
     np.minimum(f, up, out=f)
 
 
-def burn_times_segments(lengths, hub: bool, sources, layout) -> np.ndarray:
+def burn_times_segments(lengths, hub: bool, sources, offsets, depth) -> np.ndarray:
     """First-burn rounds on a path forest (hub=False) or spider (hub=True).
 
     Indices follow model.SegmentVertices: the hub, if any, is index 0, then
     the segments of the given lengths (an integer array) lie contiguously,
-    each ordered away from the hub.  Same contract as burn_times_csr on that
-    graph: sources[i] is ignited in round i+1 (a no-op if already burned),
-    and the result is a fresh int32 array of first-burn rounds, -1 for never
-    burned.  layout is segment_layout(lengths), which a graph computes once
-    and keeps (SegmentVertices.layout).
+    each ordered away from the hub, segment s from index offsets[s].  Same
+    contract as burn_times_csr on that graph: sources[i] is ignited in
+    round i+1 (a no-op if already burned), and the result is a fresh int32
+    array of first-burn rounds, -1 for never burned.  On a spider depth is
+    arm_depth(lengths), which the graph computes once and keeps
+    (SegmentVertices.depth); a path forest passes None.
 
     Only the segments holding a source (the touched ones) need the sweep:
-    a spider arm without one burns at head + 1 + position, the head's round
+    a spider arm without one burns at head + 1 + depth, the head's round
     following from the sources alone, and a path component without one
-    never burns.  So the sweep runs over the touched segments' vertices,
-    gathered into one array and scattered back, and the other vertices
-    take one fill of n: O(k log k + touched vertices) plus the fill.  When
-    the touched segments hold more than _GATHER_MAX_SHARE of the vertices,
-    the sweep runs over the whole layout in place instead.
+    never burns.  A source's segment is a searchsorted over offsets.  The
+    touched segments' vertices are gathered into one array, each swept arm
+    starting from head + 1 at its first slot, and scattered back into one
+    fill of n: O(k log k + touched vertices) plus the fill.  When every
+    segment is touched the gathered order is the index order, so the sweep
+    runs in the result itself.
 
-    Values stay below (swept segments) * (n + k + 1 + swept vertices), so
-    the sweep runs in int32 when that fits.  At order 2e5, int64 takes
-    some 5,400 segments when the whole layout is swept, and some 9,800
-    touched ones when they are gathered (at most k are), so it comes only
-    on instances with thousands of segments: when the touched ones hold
-    most of the vertices, or themselves number in the thousands.
+    Values stay below touched * (n + k + 1 + swept vertices), so the sweep
+    runs in int32 when that fits.  At order 2e5 int64 takes some 5,400
+    touched segments when they hold every vertex, and some 9,800 when they
+    hold few, so it comes only on instances with thousands of segments,
+    most or all of them holding a source.
     """
-    pos, seg = layout
     base = int(hub)
-    size = pos.size
-    n = base + size
+    n = int(offsets[-1] + lengths[-1])
     src = _source_array(sources)
     k = src.size
     if not k:
         return np.full(n, -1, dtype=np.int32)
     _check_range(src.min(), src.max(), n)
+    src = src.astype(np.intp, copy=False)
     inf = n + k + 1  # above every reachable round, which is at most k + n - 1
     rounds = np.arange(1, k + 1)
-    on_seg = src >= base
-    at = src[on_seg].astype(np.intp) - base  # layout index of each source on a segment
-    at_round = rounds[on_seg]
+    seg = offsets.searchsorted(src, "right") - 1  # -1 for the hub
+    on_seg = seg >= 0
+    at_seg, at_round = seg[on_seg], rounds[on_seg]
+    at_pos = src[on_seg] - offsets[at_seg]  # each source's position in its segment
     if hub:
         # the head burns at its own ignition or when the first arm fire
         # arrives: source i, at position p of an arm, reaches it in
         # round i + p + 1
-        head = int(min(rounds[~on_seg].min(initial=inf), (at_round + pos[at]).min(initial=inf) + 1))
-    touched, lead, rank = np.unique(seg[at], return_index=True, return_inverse=True)
-    lens = np.asarray(lengths)[touched]
+        head = int(min(rounds[~on_seg].min(initial=inf), (at_round + at_pos).min(initial=inf) + 1))
+    touched = np.unique(at_seg)
+    rank = touched.searchsorted(at_seg)
+    every = touched.size == len(lengths)
+    lens = lengths if every else lengths[touched]
+    starts = np.cumsum(lens) - lens  # where each touched segment starts in the gathered order
     total = int(lens.sum())
-
-    if total > _GATHER_MAX_SHARE * size:
-        # every value below stays under segments * (inf + size): int32 if that fits
-        dt = np.int32 if len(lengths) * (inf + size) < 2**31 else np.int64
-        times = np.full(n, inf, dtype=dt)
-        f = times[base:]  # a view, so the sweep runs in place
-        np.minimum.at(f, at, at_round.astype(dt))  # a repeated source counts from its first
-        w = np.multiply(seg, inf + size, dtype=dt)
-        w += pos
-        _sweep(f, w)
-        if hub:
-            times[0] = head
-            np.minimum(f, np.add(pos, head + 1, out=w, dtype=dt), out=f)
-        if times.max() >= inf:
-            times[times >= inf] = -1
-        return times.astype(np.int32, copy=False)
-
-    # touched segment j lies at starts[j] in the gathered order and begins
-    # at its lead source's layout index less that source's position
-    starts = np.cumsum(lens) - lens
-    gather = np.arange(total) + np.repeat(at[lead] - pos[at[lead]] - starts, lens)
     spacing = inf + total  # every value below stays under touched * spacing
     dt = np.int32 if touched.size * spacing < 2**31 else np.int64
-    f = np.full(total, inf, dtype=dt)
-    np.minimum.at(f, starts[rank] + pos[at], at_round.astype(dt))
+    if every:
+        times = np.full(n, inf, dtype=dt)
+        f = times[base:]  # a view, so the sweep runs in place
+    else:
+        times = np.empty(n, dtype=np.int32)
+        if hub:
+            np.add(depth, head + 1, out=times[1:])
+        else:
+            times.fill(-1)
+        f = np.full(total, inf, dtype=dt)
+    if hub:
+        times[0] = head
+        f[starts] = head + 1
+    # a repeated source counts from its first ignition
+    np.minimum.at(f, starts[rank] + at_pos, at_round.astype(dt))
     w = np.arange(total, dtype=dt)
     w += np.repeat((np.arange(touched.size) * spacing - starts).astype(dt), lens)
     _sweep(f, w)
-    times = np.empty(n, dtype=np.int32)
-    if hub:
-        times[0] = head
-        np.add(pos, head + 1, out=times[1:])
-        np.minimum(f, times[1:][gather], out=f)
-    else:
-        times.fill(-1)
-    times[base:][gather] = f
-    return times
+    if not every:
+        times[np.repeat(offsets[touched] - starts, lens) + np.arange(total)] = f
+    return times.astype(np.int32, copy=False)

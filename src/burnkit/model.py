@@ -21,26 +21,27 @@ and an id tuple is built only when it is read, many in one pass (ids_of,
 indices_of).  They hold no adjacency arrays either: neighbours are
 arithmetic too (SegmentVertices.neighbors for one row, closed_min for
 the rows around many vertices at once), and the closed-form kernel reads
-a position/segment layout computed once per graph.  Their CSR arrays are
-those neighbour rows packed, built only when something asks for them
-(the BFS kernel on graphs of order below 40, the exact solvers).  Graphs
-from edge lists come from the validated constructor
-LabeledGraph(vertices, edges), which takes the ids as a sequence and the
-edges as pairs of vertex indices; they keep their ids in a tuple, look
-indices up in a dict and store their CSR arrays.
+where each segment starts, plus on a spider each arm vertex's depth,
+computed on its first burn; a path forest stores nothing per vertex.
+Their CSR arrays are those neighbour rows packed, built only when
+something asks for them (the BFS kernel on graphs of order below 64, the
+exact solvers).  Graphs from edge lists come from the validated
+constructor LabeledGraph(vertices, edges), which takes the ids as a
+sequence and the edges as pairs of vertex indices; they keep their ids
+in a tuple, look indices up in a dict and store their CSR arrays.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, repeat
 from math import isqrt
 from operator import index as _as_index
 
 import numpy as np
 
-from .engine import segment_layout
+from .engine import arm_depth
 from .errors import BudgetError, InstanceError
 
 VertexId = tuple
@@ -127,6 +128,7 @@ class PathForest:
     """Disjoint union of paths, stored as component orders sorted non-increasing."""
 
     orders: tuple[int, ...]
+    n: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         orders = tuple(sorted(self.orders, reverse=True))
@@ -135,10 +137,7 @@ class PathForest:
         if not all(map(isinstance, orders, repeat(int))) or min(orders) < 1:
             raise InstanceError(f"component orders must be positive integers: {self.orders!r}")
         object.__setattr__(self, "orders", orders)
-
-    @property
-    def n(self) -> int:
-        return sum(self.orders)
+        object.__setattr__(self, "n", sum(orders))
 
     @property
     def t(self) -> int:
@@ -154,6 +153,7 @@ class Spider:
     """
 
     arms: tuple[int, ...]
+    n: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arms = tuple(sorted(self.arms, reverse=True))
@@ -162,10 +162,7 @@ class Spider:
         if not all(map(isinstance, arms, repeat(int))) or min(arms) < 1:
             raise InstanceError(f"arm lengths must be positive integers: {self.arms!r}")
         object.__setattr__(self, "arms", arms)
-
-    @property
-    def n(self) -> int:
-        return 1 + sum(self.arms)
+        object.__setattr__(self, "n", 1 + sum(arms))
 
     @property
     def m(self) -> int:
@@ -207,20 +204,21 @@ class SegmentVertices(Sequence):
     LabeledGraph.csr reads, packing every row into the CSR arrays when
     they are asked for; closed_min applies the same rule to the rows
     around many vertices at once, for the schedule construction.  The
-    closed-form kernel's layout is computed on the first burn and kept
-    (layout).
+    closed-form kernel reads offsets, and on a spider the arm depths,
+    computed on the first burn and kept (depth); a path forest keeps
+    nothing per vertex.
     """
 
-    __slots__ = ("lengths", "hub", "offsets", "_n", "_starts", "_layout")
+    __slots__ = ("lengths", "hub", "offsets", "_n", "_starts", "_depth")
 
     def __init__(self, lengths: tuple[int, ...], hub: bool):
         self._n = check_order(sum(lengths) + int(hub))  # before any work of its order
-        self.lengths = np.asarray(lengths, dtype=np.int64)
+        self.lengths = np.fromiter(lengths, np.int64, len(lengths))
         self.hub = hub
         ends = np.cumsum(self.lengths) + int(hub)
         self.offsets = ends - self.lengths
         self._starts = None  # by _mark_starts, for neighbors and closed_min
-        self._layout = None
+        self._depth = None
 
     def __len__(self) -> int:
         return self._n
@@ -304,11 +302,11 @@ class SegmentVertices(Sequence):
         got = times[rows].tolist()
         return list(map(min, got[::3], got[1::3], got[2::3]))
 
-    def layout(self) -> tuple[np.ndarray, np.ndarray]:
-        """engine.segment_layout of these segments, computed on first call."""
-        if self._layout is None:
-            self._layout = segment_layout(self.lengths)
-        return self._layout
+    def depth(self) -> np.ndarray | None:
+        """engine.arm_depth of a spider's arms, computed on first call; None on a path forest."""
+        if self._depth is None and self.hub:
+            self._depth = arm_depth(self.lengths)
+        return self._depth
 
 
 class LabeledGraph:

@@ -2,6 +2,7 @@
 
 import math
 import random
+from itertools import product
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from conftest import neighbors, partitions
 from burnkit import burning, model
 from burnkit.burning import (
+    completion,
     cover_from_schedule,
     schedule_from_cover,
     simulate,
@@ -388,7 +390,9 @@ def test_several_replacements_in_one_schedule(monkeypatch):
     # The second and third centers sit next to the first, so each is
     # burned before its round and replaced by the smallest unburned vertex;
     # the fourth, 0:1, burns only through the first replacement, 0:0, so
-    # it is caught only by burning again after a replacement.
+    # it is caught only by burning again after a replacement.  Both graphs
+    # burn through the closed form, though below its cutoff.
+    monkeypatch.setattr(burning, "_CLOSED_FORM_MIN_ORDER", 0)
     g = pf_graph(60)
     pairs = ((c(0, 30), 29), (c(0, 31), 5), (c(0, 29), 4), (c(0, 1), 3), (c(0, 45), 2))
     cover = BudgetedCover(pairs, 30)
@@ -402,7 +406,6 @@ def test_several_replacements_in_one_schedule(monkeypatch):
 
     sp = Spider((15, 15, 15))  # order 46
     g = spider_to_graph(sp)
-    assert g.order >= burning._CLOSED_FORM_MIN_ORDER
     pairs = ((HEAD, 15), *((arm_vertex(i, 1), 5 - i) for i in range(3)), (arm_vertex(2, 14), 1))
     cover = BudgetedCover(pairs, 20)
     assert matches_reference(g, cover)
@@ -411,11 +414,12 @@ def test_several_replacements_in_one_schedule(monkeypatch):
     assert schedule.sources[:4] == (HEAD, arm_vertex(0, 2), arm_vertex(0, 4), arm_vertex(0, 6))
 
 
-def test_hub_center_burned_through_an_arm_start():
+def test_hub_center_burned_through_an_arm_start(monkeypatch):
     # The head's round is its own center's round, but an arm start burned
     # a round earlier, so the head had caught fire by then: only the min
-    # over the arm starts shows it.  Below and above the kernel cutoff.
-    for arms in ((4, 3, 3), (20, 20, 20)):
+    # over the arm starts shows it.  Under both kernels.
+    for arms, cutoff in product(((4, 3, 3), (20, 20, 20)), (0, 10**9)):
+        monkeypatch.setattr(burning, "_CLOSED_FORM_MIN_ORDER", cutoff)
         g = spider_to_graph(Spider(arms))
         cover = BudgetedCover(((arm_vertex(1, 1), 20), (HEAD, 3), (arm_vertex(0, 4), 2)), 22)
         assert matches_reference(g, cover)
@@ -428,17 +432,33 @@ def test_hub_center_burned_through_an_arm_start():
         assert schedule_from_cover(g, cover).sources[1] == HEAD
 
 
+def test_path_forest_graph_keeps_nothing_per_vertex_after_burns():
+    # The closed form reads a path forest's offsets alone, so after many
+    # burns its vertices hold no array longer than the component count.
+    pf = PathForest((50,) * 30 + (7,) * 10)
+    _, schedule, _ = greedy_burn(pf)
+    g = path_forest_to_graph(pf)
+    for _ in range(3):
+        assert verify_schedule(g, schedule)
+        assert simulate(g, schedule.sources)[1] <= schedule.claimed_time
+        assert completion(g, schedule.sources[:1]) == math.inf
+    seg = g.segments
+    held = {name: np.size(getattr(seg, name)) for name in seg.__slots__
+            if getattr(seg, name) is not None and name not in ("hub", "_n")}
+    assert held and max(held.values()) <= pf.t, held
+
+
 def test_large_segment_graphs_build_no_csr(monkeypatch):
     # From the closed-form cutoff up, a path forest or spider schedules,
-    # verifies and simulates without adjacency arrays, and lays out its
-    # segments once however often it is burned.
+    # verifies and simulates without adjacency arrays.  A spider computes
+    # its arm depths once however often it is burned, a path forest never.
     def refuse(self):
         raise AssertionError("CSR arrays built for a large segment graph")
 
-    layouts = []
-    real_layout = model.segment_layout
+    depths = []
+    real_depth = model.arm_depth
     monkeypatch.setattr(model.LabeledGraph, "csr", refuse)
-    monkeypatch.setattr(model, "segment_layout", lambda lens: layouts.append(1) or real_layout(lens))
+    monkeypatch.setattr(model, "arm_depth", lambda lens: depths.append(1) or real_depth(lens))
     rng = random.Random(20261019)
     cutoff = burning._CLOSED_FORM_MIN_ORDER
     forests = [PathForest((cutoff,)), PathForest((40, 23, 1)), random_path_forest(rng, 5000, 60)]
@@ -463,7 +483,7 @@ def test_large_segment_graphs_build_no_csr(monkeypatch):
     schedule = schedule_from_cover(g, cover)
     assert schedule.sources[:2] == (arm_vertex(0, 30), arm_vertex(0, 1))
     assert schedule.claimed_time == 33
-    # Each graph built above laid its segments out once, though each was
-    # burned at least twice: one graph per burner call and one per check
-    # for every instance, then the last spider.
-    assert len(layouts) == 2 * (len(forests) + 2) + 1
+    # Each spider graph built above computed its depths once, though each
+    # was burned at least twice: one graph per burner call and one per
+    # check for both spiders, then the last spider.  No forest did.
+    assert len(depths) == 2 * 2 + 1

@@ -27,7 +27,7 @@ def csr(g, sources):
 
 def closed_form(g, sources):
     seg = g.segments
-    return engine.burn_times_segments(seg.lengths, seg.hub, sources, seg.layout())
+    return engine.burn_times_segments(seg.lengths, seg.hub, sources, seg.offsets, seg.depth())
 
 
 # Each entry burns a LabeledGraph: burn(g, sources) -> first-burn rounds.
@@ -108,11 +108,15 @@ def test_closed_form_matches_bfs_on_large_instances():
 
 
 def record_sweeps(monkeypatch):
-    """(vertices swept, dtype) of every sweep the closed form runs."""
+    """(vertices swept, dtype, in place) of every sweep the closed form runs.
+
+    In place means the sweep ran in a view of the result, not in an array
+    gathered from it.
+    """
     sweeps = []
     real = engine._sweep
-    monkeypatch.setattr(engine, "_sweep",
-                        lambda f, w: sweeps.append((f.size, f.dtype)) or real(f, w))
+    monkeypatch.setattr(engine, "_sweep", lambda f, w: sweeps.append(
+        (f.size, f.dtype, f.base is not None)) or real(f, w))
     return sweeps
 
 
@@ -123,23 +127,24 @@ def test_closed_form_sweeps_only_the_touched_segments(monkeypatch):
     g = spider_to_graph(Spider((100,) * 40))
     sources = [1 + 250, 1 + 5 * 100, 1 + 250, 1 + 39 * 100 + 99, 1 + 5 * 100 + 1]
     assert np.array_equal(closed_form(g, sources), csr(g, sources))
-    assert sweeps == [(300, np.int32)]
+    assert sweeps == [(300, np.int32, False)]
 
 
 def test_closed_form_covers_both_sweeps_in_both_dtypes(monkeypatch):
-    # 40,000 components of order 2, one source each in some of them: with
-    # the source-holding components in the minority their vertices are
-    # gathered, past it the sweep runs over every vertex.  Both pass the
-    # int32 range on this many segments.
+    # 40,000 components of order 2, one source each in some of them: the
+    # source-holding components' vertices are gathered, in int32 when 500
+    # hold a source and in int64 past the int32 range at 18,000.  With a
+    # source in every component the gathered order is the index order, so
+    # the sweep runs in the result itself, here in int64.
     sweeps = record_sweeps(monkeypatch)
     g = path_forest_to_graph(PathForest((2,) * 40000))
     rng = random.Random(11)
-    for touched, swept in ((500, 1000), (18000, 36000), (36000, g.order)):
+    for touched in (500, 18000, 40000):
         comps = rng.sample(range(40000), touched)
         sources = [2 * c + rng.randrange(2) for c in comps]
         assert np.array_equal(closed_form(g, sources), csr(g, sources)), touched
-        assert sweeps[-1][0] == swept
-    assert [dtype for _, dtype in sweeps] == [np.int32, np.int64, np.int64]
+    assert sweeps == [(1000, np.int32, False), (36000, np.int64, False),
+                      (g.order, np.int64, True)]
 
 
 def test_closed_form_head_alone():
@@ -177,10 +182,44 @@ def test_closed_form_touched_minority_with_repeats_and_burned_sources():
         assert np.array_equal(got, csr(g, sources)), (segments, g.segments.hub, sources)
 
 
+def test_closed_form_touched_majority_with_repeats(monkeypatch):
+    # Sources on arms or components that hold 50-99% of the vertices:
+    # gathered, swept and scattered back around the few left untouched,
+    # with repeated sources and the head among them.
+    sweeps = record_sweeps(monkeypatch)
+    g = spider_to_graph(Spider((500, 10, 10)))  # arm 0 holds 500 of 521
+    for sources in ([3, 0], [0, 250, 3, 250], [1, 1, 400, 0, 0, 500]):
+        assert np.array_equal(closed_form(g, sources), csr(g, sources)), sources
+    assert sweeps == [(500, np.int32, False)] * 3
+    rng = random.Random(20261021)
+    checked = 0
+    for _ in range(300):
+        segments = (rng.randint(100, 400), *(rng.randint(1, 60) for _ in range(rng.randint(3, 12))))
+        if rng.random() < 0.5:
+            g = spider_to_graph(Spider(segments))
+        else:
+            g = path_forest_to_graph(PathForest(segments))
+        offsets, lengths = g.segments.offsets, g.segments.lengths
+        # the longest segment and some others, never all of them
+        few = [0, *rng.sample(range(1, len(lengths)), rng.randrange(len(lengths) - 1))]
+        if not 0.5 <= lengths[few].sum() / g.order < 1:
+            continue
+        pool = [int(offsets[s]) + rng.randrange(int(lengths[s])) for s in few for _ in range(2)]
+        if g.segments.hub:
+            pool.append(0)
+        sources = pool + [rng.choice(pool) for _ in range(len(pool))]  # some repeated
+        rng.shuffle(sources)
+        got = closed_form(g, sources)
+        assert np.array_equal(got, csr(g, sources)), (segments, g.segments.hub, sources)
+        checked += 1
+    assert checked >= 250, checked
+    assert not any(in_place for _, _, in_place in sweeps)
+
+
 def test_closed_form_returns_a_fresh_writable_array_each_call():
     # The schedule construction writes into the rounds it gets back.
     for g, sources in ((spider_to_graph(Spider((30, 20, 10))), [5]),  # gathered
-                       (spider_to_graph(Spider((30, 20, 10))), [5, 35, 55]),  # whole layout
+                       (spider_to_graph(Spider((30, 20, 10))), [5, 35, 55]),  # in place
                        (path_forest_to_graph(PathForest((30, 20, 10))), [40])):
         a, b = closed_form(g, sources), closed_form(g, sources)
         assert a is not b and not np.shares_memory(a, b)
@@ -237,10 +276,11 @@ def test_kernels_reject_non_integer_sources(burn):
         assert burn(g, good).tolist() == expected
 
 
-def test_closed_form_reuses_one_layout_across_calls():
-    # One graph, one layout, source lists of growing and shrinking length:
-    # the segment separation must follow n + k on every call.  Repeated
-    # sources push k past n, and some segments get no source at all.
+def test_closed_form_reuses_one_graph_across_calls():
+    # One graph, one depth array on a spider and none on a path forest,
+    # source lists of growing and shrinking length: the segment separation
+    # must follow n + k on every call.  Repeated sources push k past n, and
+    # some segments get no source at all.
     rng = random.Random(20261019)
     for g in (
         path_forest_to_graph(PathForest((5, 5, 5, 4))),
@@ -248,12 +288,13 @@ def test_closed_form_reuses_one_layout_across_calls():
         path_forest_to_graph(PathForest(tuple(rng.randint(1, 40) for _ in range(30)))),
         spider_to_graph(Spider(tuple(rng.randint(1, 40) for _ in range(30)))),
     ):
-        layout = g.segments.layout()
+        depth = g.segments.depth()
+        assert (depth is None) == (not g.segments.hub)
         for k in (1, 3, 2 * g.order, 0, 5, 3 * g.order + 7, 1):
             pool = rng.sample(range(g.order), min(3, g.order))
             sources = [rng.choice(pool) for _ in range(k)]
             assert np.array_equal(closed_form(g, sources), csr(g, sources)), (k, sources)
-        assert g.segments.layout() is layout
+        assert g.segments.depth() is depth
 
 
 def _floyd_warshall(n, edges):

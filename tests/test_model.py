@@ -42,6 +42,9 @@ def test_path_forest_canonicalizes_and_validates():
     pf = PathForest((3, 11, 7))
     assert pf.orders == (11, 7, 3)
     assert pf.n == 21 and pf.t == 3
+    # the stored order takes no part in equality, hashing or repr
+    assert pf == PathForest((7, 3, 11)) and hash(pf) == hash(PathForest((7, 3, 11)))
+    assert repr(pf) == "PathForest(orders=(11, 7, 3))"
     with pytest.raises(InstanceError):
         PathForest(())
     with pytest.raises(InstanceError):
@@ -52,6 +55,8 @@ def test_spider_canonicalizes_and_validates():
     sp = Spider((1, 5, 2))
     assert sp.arms == (5, 2, 1)
     assert sp.n == 9 and sp.m == 3
+    assert sp == Spider((2, 1, 5)) and hash(sp) == hash(Spider((2, 1, 5)))
+    assert repr(sp) == "Spider(arms=(5, 2, 1))"
     with pytest.raises(InstanceError):
         Spider((4, 2))
 
@@ -296,7 +301,7 @@ def test_segment_graph_builds_its_csr_once_when_asked(monkeypatch):
     real = SegmentVertices.neighbors
     monkeypatch.setattr(SegmentVertices, "neighbors", lambda self, i: asked.append(i) or real(self, i))
     g = spider_to_graph(Spider((3, 2, 1)))
-    g.segments.neighbors(0), g.segments.neighbors(4), g.segments.layout()
+    g.segments.neighbors(0), g.segments.neighbors(4), g.segments.depth()
     assert asked == [0, 4]
     indptr, indices = g.csr()
     again = g.csr()
