@@ -140,7 +140,10 @@ def _schedule_sequential(g: LabeledGraph, center_idx: list[int], M: int):
 
     Each pass burns the centers as replaced so far, followed by the fillers
     (the smallest vertices in canonical order that are no center, up to M
-    sources in all), in one kernel run.  A center is burned at its round j
+    sources in all), in one kernel run.  Canonical order is index
+    arithmetic on a path forest or spider (g.canonical_prefix,
+    g.first_canonical), so the construction holds nothing per vertex but
+    the kernel's rounds.  A center is burned at its round j
     iff its round or a neighbour's is below j, and rounds below j depend
     only on the sources of earlier rounds, so one gather (g.closed_min)
     finds the first center burned at its round.  It adds nothing to the
@@ -149,8 +152,8 @@ def _schedule_sequential(g: LabeledGraph, center_idx: list[int], M: int):
     pass burns again and reads on from there.  Without such a center the
     sources are cut at the completion round.
     """
-    k, canon = len(center_idx), g.canonical_order()
-    fillers = canon[:M].tolist()  # at most k of these are centers
+    k = len(center_idx)
+    fillers = g.canonical_prefix(M)  # at most k of these are centers
     sources = list(center_idx)
     fixed = 1  # the sources of rounds up to this one stand; none burns before round 1
     while True:
@@ -166,5 +169,5 @@ def _schedule_sequential(g: LabeledGraph, center_idx: list[int], M: int):
             return sources[:done], math.inf if done == never else done
         if done == late:  # the spread of that round burned the graph
             return sources[:late - 1], late
-        sources[late - 1] = int(canon[(times[canon] > late).argmax()])
+        sources[late - 1] = g.first_canonical(times > late)
         fixed = late

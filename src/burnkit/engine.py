@@ -11,9 +11,10 @@ without a source takes arithmetic alone: a spider arm burns at the head's
 round plus its distance from the head, and a path component never burns.
 So a call costs O(k log k + touched vertices) for k sources, plus one fill
 of the n-vertex result.  It needs no adjacency arrays, only the offset
-of each segment and, on a spider, each arm vertex's depth (arm_depth),
-which the graph computes on its first burn and passes to every call; a
-path forest needs nothing per vertex.
+of each segment and, on a spider, each arm vertex's depth (arm_depth,
+built from the runs of equal arm lengths), which the graph computes on
+its first burn and passes to every call; a path forest needs nothing per
+vertex.
 
 Which runs when: the simulator and the schedule construction
 (burning._times_raw) burn path forests and spiders of order at least
@@ -91,16 +92,23 @@ def burn_times_csr(indptr, indices, sources) -> np.ndarray:
     return np.asarray(times, dtype=np.int32)
 
 
-def arm_depth(lengths) -> np.ndarray:
+def arm_depth(runs) -> np.ndarray:
     """Each arm vertex's position along its arm, 0 next to the head (int32).
 
-    Over the arms of the given lengths, in index order; the head has no
-    entry.  A spider graph computes it once (SegmentVertices.depth), for
-    the arms that hold no source.
+    The arms are given as (length, count) runs, count arms of that length
+    in a row, in index order; the head has no entry.  Each run is one
+    broadcast of arange(length) into a (count, length) view, so the work
+    is one pass over the vertices plus a few numpy calls per run, never
+    per arm.  A spider graph computes it once (SegmentVertices.depth),
+    for the arms that hold no source.
     """
-    lens = np.asarray(lengths, dtype=np.int64)
-    starts = (np.cumsum(lens) - lens).astype(np.int32)
-    return np.arange(lens.sum(), dtype=np.int32) - np.repeat(starts, lens)
+    depth = np.empty(sum(length * count for length, count in runs), dtype=np.int32)
+    ramp = np.arange(max(length for length, _ in runs), dtype=np.int32)
+    at = 0
+    for length, count in runs:
+        depth[at:at + length * count].reshape(count, length)[:] = ramp[:length]
+        at += length * count
+    return depth
 
 
 def _sweep(f: np.ndarray, w: np.ndarray) -> None:
@@ -130,8 +138,8 @@ def burn_times_segments(lengths, hub: bool, sources, offsets, depth) -> np.ndarr
     contract as burn_times_csr on that graph: sources[i] is ignited in
     round i+1 (a no-op if already burned), and the result is a fresh int32
     array of first-burn rounds, -1 for never burned.  On a spider depth is
-    arm_depth(lengths), which the graph computes once and keeps
-    (SegmentVertices.depth); a path forest passes None.
+    arm_depth over the runs of equal lengths, which the graph computes
+    once and keeps (SegmentVertices.depth); a path forest passes None.
 
     Only the segments holding a source (the touched ones) need the sweep:
     a spider arm without one burns at head + 1 + depth, the head's round

@@ -15,14 +15,19 @@ Vertex ids are plain tuples with a total lexicographic order:
     ("v", name)        named vertex of a graph given by an edge list
 
 Within one graph only one family of ids appears (plus the head for spiders).
-Path-forest and spider graphs never store their ids: index and id convert
-into each other by arithmetic on the segment layout (see SegmentVertices),
-and an id tuple is built only when it is read, many in one pass (ids_of,
-indices_of).  They hold no adjacency arrays either: neighbours are
-arithmetic too (SegmentVertices.neighbors for one row, closed_min for
-the rows around many vertices at once), and the closed-form kernel reads
-where each segment starts, plus on a spider each arm vertex's depth,
-computed on its first burn; a path forest stores nothing per vertex.
+Path-forest and spider graphs are built from runs of equal segment
+lengths: the lengths come sorted, so they take at most sqrt(2n) distinct
+values, and a build does O(sqrt(n)) Python steps plus the per-segment
+lengths and offsets arrays.  They never store their ids: index and id
+convert into each other by arithmetic on the segment layout (see
+SegmentVertices), and an id tuple is built only when it is read, many in
+one pass (ids_of, indices_of).  Their canonical order (ascending ids) is
+index arithmetic too: index order, with a spider's head last.  They hold
+no adjacency arrays either: neighbours are arithmetic too
+(SegmentVertices.neighbors for one row, closed_min for the rows around
+many vertices at once), and the closed-form kernel reads where each
+segment starts, plus on a spider each arm vertex's depth, computed on
+its first burn; a path forest stores nothing per vertex for it.
 Their CSR arrays are those neighbour rows packed, built only when
 something asks for them (the BFS kernel on graphs of order below 64, the
 exact solvers).  Graphs from edge lists come from the validated
@@ -33,11 +38,12 @@ in a tuple, look indices up in a dict and store their CSR arrays.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from math import isqrt
-from operator import index as _as_index
+from operator import index as _as_index, neg
 
 import numpy as np
 
@@ -104,8 +110,9 @@ def parse_vertex(text: str, kind: str) -> VertexId:
     raise InstanceError(f"unknown instance kind {kind!r}")
 
 
-# Indices, canonical orders and burn rounds are int32 arrays, so an
-# instance of larger order could not be indexed.
+# Indices and burn rounds are int32 arrays (as is the canonical order an
+# edge-list graph keeps), so an instance of larger order could not be
+# indexed.
 MAX_ORDER = np.iinfo(np.int32).max
 
 
@@ -194,6 +201,12 @@ def _exact_int(x) -> int | None:
 class SegmentVertices(Sequence):
     """The vertex ids of a path forest or spider graph, computed on demand.
 
+    The segment lengths come sorted non-increasing, so the constructor
+    reads them as runs of equal lengths (at most sqrt(2n) of them, each
+    found by one bisect): the order is an exact Python int, checked before
+    any array exists, and lengths (one np.repeat of the runs) and offsets
+    are the only arrays built.
+
     Indices follow the segment layout: the spider head (hub) is index 0,
     then segment s (an arm or a component) occupies lengths[s] consecutive
     indices starting at offsets[s], ordered away from the hub.  Positions
@@ -205,15 +218,24 @@ class SegmentVertices(Sequence):
     they are asked for; closed_min applies the same rule to the rows
     around many vertices at once, for the schedule construction.  The
     closed-form kernel reads offsets, and on a spider the arm depths,
-    computed on the first burn and kept (depth); a path forest keeps
-    nothing per vertex.
+    built from the runs on the first burn and kept (depth); a path forest
+    keeps nothing per vertex for it.
     """
 
-    __slots__ = ("lengths", "hub", "offsets", "_n", "_starts", "_depth")
+    __slots__ = ("lengths", "hub", "offsets", "_runs", "_n", "_starts", "_depth")
 
     def __init__(self, lengths: tuple[int, ...], hub: bool):
-        self._n = check_order(sum(lengths) + int(hub))  # before any work of its order
-        self.lengths = np.fromiter(lengths, np.int64, len(lengths))
+        runs, i, m = [], 0, len(lengths)
+        while i < m:
+            v, j = lengths[i], i + 1
+            if j < m and lengths[j] == v:  # a run of more: bisect for its end
+                j = bisect_right(lengths, -v, j, m, key=neg)
+            runs.append((v, j - i))
+            i = j
+        self._n = check_order(sum(v * c for v, c in runs) + int(hub))  # before any array
+        self._runs = runs
+        values, counts = zip(*runs)
+        self.lengths = np.repeat(np.array(values, dtype=np.int64), counts)
         self.hub = hub
         ends = np.cumsum(self.lengths) + int(hub)
         self.offsets = ends - self.lengths
@@ -303,9 +325,9 @@ class SegmentVertices(Sequence):
         return list(map(min, got[::3], got[1::3], got[2::3]))
 
     def depth(self) -> np.ndarray | None:
-        """engine.arm_depth of a spider's arms, computed on first call; None on a path forest."""
+        """engine.arm_depth of a spider's runs, computed on first call; None on a path forest."""
         if self._depth is None and self.hub:
-            self._depth = arm_depth(self.lengths)
+            self._depth = arm_depth(self._runs)
         return self._depth
 
 
@@ -323,7 +345,11 @@ class LabeledGraph:
     which packs their arithmetic neighbour rows into the arrays and keeps
     them.  `closed_min` reads the rounds around many vertices at once, by
     arithmetic on a path forest or spider and from the CSR rows on an
-    edge-list graph.
+    edge-list graph.  So do `canonical_prefix` and `first_canonical`, the
+    schedule construction's filler and replacement picks in canonical
+    order: an edge-list graph reads them from its sorted ids, kept on the
+    first call, and a path forest or spider, which keeps no order, by
+    index arithmetic.
     """
 
     __slots__ = ("vertices", "_indptr", "_indices", "_index", "_canon")
@@ -361,7 +387,7 @@ class LabeledGraph:
         self._canon = None
 
     @classmethod
-    def _from_segments(cls, vertices: SegmentVertices, canonical_order: np.ndarray):
+    def _from_segments(cls, vertices: SegmentVertices):
         # Trusted path used by the instance builders; symmetry and
         # simplicity are guaranteed by construction there (and re-checked
         # against the validated constructor in the test suite).
@@ -369,7 +395,7 @@ class LabeledGraph:
         g.vertices = vertices
         g._indptr = g._indices = None  # packed by csr() when first asked for
         g._index = None
-        g._canon = canonical_order
+        g._canon = None  # canonical order is arithmetic here, never stored
         return g
 
     @property
@@ -413,26 +439,50 @@ class LabeledGraph:
         return tuple(self.vertices[i] for i in indices)
 
     def canonical_order(self) -> np.ndarray:
-        """Vertex indices sorted by ascending VertexId (used for filler picks)."""
+        """Vertex indices sorted by ascending VertexId.
+
+        On a path forest or spider this is index arithmetic, built anew
+        each time it is asked for: index order, with a spider's head
+        (index 0) last, since ("a", ...) < ("head",).  An edge-list graph
+        sorts its ids once and keeps the order.
+        """
+        if self._index is None:
+            return np.roll(np.arange(self.order, dtype=np.int32), -int(self.vertices.hub))
         if self._canon is None:
             order = sorted(range(len(self.vertices)), key=self.vertices.__getitem__)
             self._canon = np.asarray(order, dtype=np.int32)
         return self._canon
 
+    def canonical_prefix(self, count: int) -> list[int]:
+        """canonical_order()[:count] as a list; arithmetic on a path forest or spider."""
+        if self._index is None:
+            hub, n = int(self.vertices.hub), self.order
+            return list(islice(chain(range(hub, n), range(hub)), count))
+        return self.canonical_order()[:count].tolist()
+
+    def first_canonical(self, mask: np.ndarray) -> int:
+        """The first vertex in canonical order where mask (n bools) holds.
+
+        mask must hold somewhere.  On a path forest or spider this is one
+        argmax over the arm or component vertices, then the head; an
+        edge-list graph gathers mask in its stored order.
+        """
+        if self._index is None:
+            hub = int(self.vertices.hub)
+            i = hub + int(mask[hub:].argmax())
+            return i if mask[i] else 0  # only the head is left
+        canon = self.canonical_order()
+        return int(canon[mask[canon].argmax()])
+
 
 def path_forest_to_graph(pf: PathForest) -> LabeledGraph:
     """Explicit graph for a path forest: component c holds ("c", c, 0..a_c-1)."""
-    vertices = SegmentVertices(pf.orders, hub=False)
-    canon = np.arange(len(vertices), dtype=np.int32)  # index order is id order
-    return LabeledGraph._from_segments(vertices, canon)
+    return LabeledGraph._from_segments(SegmentVertices(pf.orders, hub=False))
 
 
 def spider_to_graph(sp: Spider) -> LabeledGraph:
     """Explicit graph for a spider: index 0 is the head, arms are contiguous."""
-    vertices = SegmentVertices(sp.arms, hub=True)
-    n = len(vertices)
-    canon = np.concatenate([np.arange(1, n, dtype=np.int32), np.zeros(1, np.int32)])
-    return LabeledGraph._from_segments(vertices, canon)
+    return LabeledGraph._from_segments(SegmentVertices(sp.arms, hub=True))
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import neighbors, partitions
+from conftest import neighbors, partitions, spider_arm_sets
 from burnkit import burning, model
 from burnkit.burning import (
     completion,
@@ -432,9 +432,23 @@ def test_hub_center_burned_through_an_arm_start(monkeypatch):
         assert schedule_from_cover(g, cover).sources[1] == HEAD
 
 
+def kept_lengths(g) -> dict[str, int]:
+    """The length of every array, string or list a segment graph keeps, by
+    attribute, in its own slots and its SegmentVertices' (ints and None
+    left out)."""
+    kept = {}
+    for obj in (g, g.segments):
+        for name in type(obj).__slots__:
+            value = getattr(obj, name)
+            if value is not None and value is not g.segments and not isinstance(value, int):
+                kept[name] = value.size if isinstance(value, np.ndarray) else len(value)
+    return kept
+
+
 def test_path_forest_graph_keeps_nothing_per_vertex_after_burns():
     # The closed form reads a path forest's offsets alone, so after many
-    # burns its vertices hold no array longer than the component count.
+    # burns neither the graph nor its vertices hold anything longer than
+    # the component count.
     pf = PathForest((50,) * 30 + (7,) * 10)
     _, schedule, _ = greedy_burn(pf)
     g = path_forest_to_graph(pf)
@@ -442,10 +456,102 @@ def test_path_forest_graph_keeps_nothing_per_vertex_after_burns():
         assert verify_schedule(g, schedule)
         assert simulate(g, schedule.sources)[1] <= schedule.claimed_time
         assert completion(g, schedule.sources[:1]) == math.inf
-    seg = g.segments
-    held = {name: np.size(getattr(seg, name)) for name in seg.__slots__
-            if getattr(seg, name) is not None and name not in ("hub", "_n")}
-    assert held and max(held.values()) <= pf.t, held
+    kept = kept_lengths(g)
+    assert kept and max(kept.values()) <= pf.t, kept
+
+
+def test_segment_graphs_keep_nothing_per_vertex_before_a_burn():
+    # Built from the runs of equal lengths, a spider of many arms and a
+    # path forest hold nothing longer than their segment count until they
+    # burn: no canonical order, no depths, no CSR arrays.  The canonical
+    # order is built when asked for and not kept.  The first burn gives
+    # the spider its depths, one per arm vertex, and nothing else.
+    sp, pf = Spider((3,) * 50_000), PathForest((50,) * 30 + (7,) * 10)
+    for g, segments in ((spider_to_graph(sp), sp.m), (path_forest_to_graph(pf), pf.t)):
+        kept = kept_lengths(g)
+        assert max(kept.values()) <= segments, kept
+        assert g.canonical_order().size == g.order
+        assert kept_lengths(g) == kept
+    g = spider_to_graph(sp)
+    assert completion(g, [arm_vertex(0, 3)]) == 1 + 3 + 3
+    kept = kept_lengths(g)
+    assert kept.pop("_depth") == g.order - 1
+    assert max(kept.values()) <= sp.m, kept
+
+
+def bfs_distances(g) -> list[list[int | float]]:
+    """All distances of g by BFS over its CSR rows, inf between components."""
+    n, (indptr, indices) = g.order, g.csr()
+    dist = []
+    for s in range(n):
+        d, frontier = [math.inf] * n, [s]
+        d[s] = 0
+        while frontier:
+            reached = []
+            for u in frontier:
+                for v in indices[indptr[u]:indptr[u + 1]].tolist():
+                    if d[v] == math.inf:
+                        d[v] = d[u] + 1
+                        reached.append(v)
+            frontier = reached
+        dist.append(d)
+    return dist
+
+
+def reference_sequential(g, dist, center_idx, M):
+    """(index sources, completion) of _schedule_sequential, built round by
+    round: fillers and replacements come from the ids sorted one by one,
+    and a vertex burns at min_i (i + d(s_i, v))."""
+    canon = sorted(range(g.order), key=g.vertices.__getitem__)
+    burned = [math.inf] * g.order  # each vertex's round under the sources so far
+    sources, t = [], 0
+    while max(burned) > t:
+        t += 1
+        if t <= len(center_idx):
+            c = center_idx[t - 1]
+            pick = c if burned[c] > t else next((v for v in canon if burned[v] > t), None)
+            if pick is None:  # the spread of round t burned the graph
+                break
+        elif len(sources) < M:
+            pick = next(v for v in canon if v not in sources)
+        else:
+            break
+        sources.append(pick)
+        burned = [min(b, t + d) for b, d in zip(burned, dist[pick])]
+    return sources, max(burned)
+
+
+def test_arithmetic_fillers_and_replacements_match_the_sorted_ids(monkeypatch):
+    # Every path forest and spider of order <= 14, under both kernels, with
+    # seeded centers (repeated or already burned ones get replaced) and
+    # budgets up to past the order, so that a spider's head comes last among the
+    # fillers.  The picks by index arithmetic agree with the ids sorted one
+    # by one, and so does the whole construction.
+    shapes = [path_forest_to_graph(PathForest(o)) for n in range(1, 15) for o in partitions(n)]
+    shapes += [spider_to_graph(Spider(arms)) for arms in spider_arm_sets(14)]
+    rng = random.Random(20261020)
+    cases = []
+    for g in shapes:
+        n, dist = g.order, bfs_distances(g)
+        canon = sorted(range(n), key=g.vertices.__getitem__)
+        assert g.canonical_order().tolist() == canon
+        assert all(g.canonical_prefix(M) == canon[:M] for M in range(n + 3))
+        for _ in range(3):
+            mask = np.array([rng.random() < 0.3 for _ in range(n)])
+            mask[rng.randrange(n)] = True
+            assert g.first_canonical(mask) == next(v for v in canon if mask[v])
+            k = rng.randint(1, min(n, 5))
+            centers = [rng.randrange(n) for _ in range(k)]
+            M = k + rng.randint(0, n)
+            cases.append((g, centers, M, reference_sequential(g, dist, centers, M)))
+    replaced = sum(any(a != b for a, b in zip(c, ref[0])) for _, c, _, ref in cases)
+    past_order = sum(M >= g.order and g.segments.hub for g, _, M, _ in cases)
+    assert replaced > 1000 and past_order > 100, (replaced, past_order)
+    for cutoff in (0, 10**9):
+        monkeypatch.setattr(burning, "_CLOSED_FORM_MIN_ORDER", cutoff)
+        for g, centers, M, expected in cases:
+            got = burning._schedule_sequential(g, centers, M)
+            assert got == expected, (g.vertices[:], centers, M)
 
 
 def test_large_segment_graphs_build_no_csr(monkeypatch):
