@@ -38,6 +38,7 @@ from .model import (
     BurnSchedule,
     LabeledGraph,
     PathForest,
+    SegmentGraph,
     Spider,
     VertexId,
     arm_vertex,
@@ -68,6 +69,7 @@ __all__ = [
     "InternalContradictionError",
     "LabeledGraph",
     "PathForest",
+    "SegmentGraph",
     "SizeGuardError",
     "Spider",
     "VerificationError",

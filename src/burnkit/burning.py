@@ -26,7 +26,7 @@ from .errors import (
     InternalContradictionError,
     VerificationError,
 )
-from .model import BudgetedCover, BurnSchedule, LabeledGraph, VertexId
+from .model import BudgetedCover, BurnSchedule, Graph, SegmentGraph, VertexId
 
 # Path forests and spiders of at least this order burn through the closed
 # form; below it the BFS is faster, because the closed form has a fixed
@@ -38,20 +38,18 @@ from .model import BudgetedCover, BurnSchedule, LabeledGraph, VertexId
 _CLOSED_FORM_MIN_ORDER = 64
 
 
-def _source_indices(g: LabeledGraph, sources) -> np.ndarray:
+def _source_indices(g: Graph, sources) -> np.ndarray:
     idx = g.indices_of(sources)
     if len(set(idx)) != len(idx):
         raise InstanceError("sources must be pairwise distinct")
     return np.asarray(idx, dtype=np.int32)
 
 
-def _times_raw(g: LabeledGraph, source_idx: np.ndarray) -> np.ndarray:
-    """First-burn rounds by index: closed form on large path forests and spiders."""
-    segments = g.segments
-    if segments is not None and g.order >= _CLOSED_FORM_MIN_ORDER:
-        return engine.burn_times_segments(
-            segments.lengths, segments.hub, source_idx, segments.offsets, segments.depth()
-        )
+def _times_raw(g: Graph, source_idx: np.ndarray) -> np.ndarray:
+    """First-burn rounds by index: the closed form on a SegmentGraph (path
+    forest or spider) of order _CLOSED_FORM_MIN_ORDER and up, else the BFS."""
+    if isinstance(g, SegmentGraph) and g.order >= _CLOSED_FORM_MIN_ORDER:
+        return engine.burn_times_segments(g.lengths, g.hub, source_idx, g.offsets, g.depth())
     indptr, indices = g.csr()
     return engine.burn_times_csr(indptr, indices, source_idx)
 
@@ -64,7 +62,7 @@ def _completion(times: np.ndarray) -> int | float:
     return int(times.max())
 
 
-def simulate(g: LabeledGraph, sources) -> tuple[dict, int | float]:
+def simulate(g: Graph, sources) -> tuple[dict, int | float]:
     """Run the burning process; return ({vertex: first burn round}, completion).
 
     Unburned vertices are absent from the map and force completion = inf.
@@ -75,7 +73,7 @@ def simulate(g: LabeledGraph, sources) -> tuple[dict, int | float]:
     return burn_time, _completion(times)
 
 
-def completion(g: LabeledGraph, sources) -> int | float:
+def completion(g: Graph, sources) -> int | float:
     """The round by which the sources burn all of g (inf if never).
 
     simulate's second value, without its {vertex: round} map.
@@ -83,12 +81,12 @@ def completion(g: LabeledGraph, sources) -> int | float:
     return _completion(_times_raw(g, _source_indices(g, sources)))
 
 
-def verify_schedule(g: LabeledGraph, schedule: BurnSchedule) -> bool:
+def verify_schedule(g: Graph, schedule: BurnSchedule) -> bool:
     """True iff the schedule burns every vertex of g by round claimed_time."""
     return completion(g, schedule.sources) <= schedule.claimed_time
 
 
-def cover_from_schedule(g: LabeledGraph, schedule: BurnSchedule) -> BudgetedCover:
+def cover_from_schedule(g: Graph, schedule: BurnSchedule) -> BudgetedCover:
     """Balls N_{T-i}[s_i] of a verified T-round schedule, as a budget-T cover."""
     if not verify_schedule(g, schedule):
         raise VerificationError("schedule does not burn the graph by its claimed time")
@@ -97,7 +95,7 @@ def cover_from_schedule(g: LabeledGraph, schedule: BurnSchedule) -> BudgetedCove
     return BudgetedCover(pairs, T)
 
 
-def schedule_from_cover(g: LabeledGraph, cover: BudgetedCover) -> BurnSchedule:
+def schedule_from_cover(g: Graph, cover: BudgetedCover) -> BurnSchedule:
     """Turn a feasible cover into a verified schedule of at most budget rounds.
 
     Round j ignites the center of the j-th pair in non-increasing radius
@@ -135,15 +133,15 @@ def schedule_from_cover(g: LabeledGraph, cover: BudgetedCover) -> BurnSchedule:
     return BurnSchedule(g.ids_of(sources), claimed)
 
 
-def _schedule_sequential(g: LabeledGraph, center_idx: list[int], M: int):
+def _schedule_sequential(g: Graph, center_idx: list[int], M: int):
     """Index sources and completion round (inf if never) of the construction.
 
     Each pass burns the centers as replaced so far, followed by the fillers
     (the smallest vertices in canonical order that are no center, up to M
-    sources in all), in one kernel run.  Canonical order is index
-    arithmetic on a path forest or spider (g.canonical_prefix,
-    g.first_canonical), so the construction holds nothing per vertex but
-    the kernel's rounds.  A center is burned at its round j
+    sources in all), in one kernel run.  The graph makes the canonical
+    picks (g.canonical_prefix, g.first_canonical), by index arithmetic on
+    a SegmentGraph, so there the construction holds nothing per vertex
+    but the kernel's rounds.  A center is burned at its round j
     iff its round or a neighbour's is below j, and rounds below j depend
     only on the sources of earlier rounds, so one gather (g.closed_min)
     finds the first center burned at its round.  It adds nothing to the

@@ -35,6 +35,7 @@ from .gen import random_path_forest, random_spider
 from .greedy import greedy_burn
 from .model import (
     BurnSchedule,
+    Graph,
     LabeledGraph,
     PathForest,
     Spider,
@@ -124,7 +125,7 @@ def _instance(kind: str, spec: list[str]):
     return {"kind": kind, "file": spec[0], "n": g.order}, g
 
 
-def _graph(inst) -> LabeledGraph:
+def _graph(inst) -> Graph:
     """The graph of an instance from _instance."""
     if isinstance(inst, PathForest):
         return path_forest_to_graph(inst)

@@ -17,12 +17,13 @@ its first burn and passes to every call; a path forest needs nothing per
 vertex.
 
 Which runs when: the simulator and the schedule construction
-(burning._times_raw) burn path forests and spiders of order at least
-burning._CLOSED_FORM_MIN_ORDER (64) through the closed form, whose fixed
-numpy cost the BFS undercuts on smaller ones.  Edge-list graphs, smaller
-path forests and spiders, and the exact solvers' distance rows go
-through the BFS; only then does a path forest or spider build CSR
-arrays, by packing its arithmetic neighbour rows.
+(burning._times_raw) burn path forests and spiders (model.SegmentGraph)
+of order at least burning._CLOSED_FORM_MIN_ORDER (64) through the closed
+form, whose fixed numpy cost the BFS undercuts on smaller ones.
+Edge-list graphs (model.LabeledGraph), smaller path forests and spiders,
+and the exact solvers' distance rows go through the BFS; only then does
+a path forest or spider build CSR arrays, by packing its arithmetic
+neighbour rows.
 
 Both kernels take the sources as a sequence of integer vertex indices and
 raise InstanceError on anything else (floats, strings, bools) and on an
@@ -99,7 +100,7 @@ def arm_depth(runs) -> np.ndarray:
     in a row, in index order; the head has no entry.  Each run is one
     broadcast of arange(length) into a (count, length) view, so the work
     is one pass over the vertices plus a few numpy calls per run, never
-    per arm.  A spider graph computes it once (SegmentVertices.depth),
+    per arm.  A spider graph computes it once (model.SegmentGraph.depth),
     for the arms that hold no source.
     """
     depth = np.empty(sum(length * count for length, count in runs), dtype=np.int32)
@@ -132,14 +133,14 @@ def _sweep(f: np.ndarray, w: np.ndarray) -> None:
 def burn_times_segments(lengths, hub: bool, sources, offsets, depth) -> np.ndarray:
     """First-burn rounds on a path forest (hub=False) or spider (hub=True).
 
-    Indices follow model.SegmentVertices: the hub, if any, is index 0, then
+    Indices follow model.SegmentGraph: the hub, if any, is index 0, then
     the segments of the given lengths (an integer array) lie contiguously,
     each ordered away from the hub, segment s from index offsets[s].  Same
     contract as burn_times_csr on that graph: sources[i] is ignited in
     round i+1 (a no-op if already burned), and the result is a fresh int32
     array of first-burn rounds, -1 for never burned.  On a spider depth is
     arm_depth over the runs of equal lengths, which the graph computes
-    once and keeps (SegmentVertices.depth); a path forest passes None.
+    once and keeps (SegmentGraph.depth); a path forest passes None.
 
     Only the segments holding a source (the touched ones) need the sweep:
     a spider arm without one burns at head + 1 + depth, the head's round

@@ -40,7 +40,7 @@ from .errors import InstanceError, InternalContradictionError, SizeGuardError
 from .model import (
     BudgetedCover,
     BurnSchedule,
-    LabeledGraph,
+    Graph,
     PathForest,
     comp_vertex,
     path_center,
@@ -62,7 +62,7 @@ def _guard_order(n: int, limit: int, search: str) -> None:
         raise SizeGuardError(f"{search} limited to order {limit}, got {n}")
 
 
-def _distance_rows(g: LabeledGraph, inf: int) -> list[list[int]]:
+def _distance_rows(g: Graph, inf: int) -> list[list[int]]:
     """All-pairs distances via the burn kernel (one source burns at 1 + d)."""
     indptr, indices = (a.tolist() for a in g.csr())
     rows = []
@@ -86,7 +86,7 @@ def _component_count(dist: list[list[int]], inf: int) -> int:
     return comps
 
 
-def exact_burning_number(g: LabeledGraph) -> tuple[int, BurnSchedule]:
+def exact_burning_number(g: Graph) -> tuple[int, BurnSchedule]:
     """Burning number of g with a verified optimal schedule as witness."""
     n = g.order
     if n == 0:
@@ -238,25 +238,31 @@ def _assign_intervals(
 def _cover_from_assignment(
     pf: PathForest, choice: list[tuple[int, int]], k: int
 ) -> BudgetedCover:
+    """The cover tiling each component with its intervals, largest first.
+
+    InternalContradictionError when a tiling falls short of its component:
+    BudgetedCover checks the radii only, so this keeps the witness a cover.
+    """
     per_comp: dict[int, list[int]] = {}
     for comp, r in choice:
         per_comp.setdefault(comp, []).append(r)
     pairs = []
-    for comp, radii in per_comp.items():
-        a = pf.orders[comp]
+    for comp, a in enumerate(pf.orders):
         pos = 0
-        for r in sorted(radii, reverse=True):
+        for r in sorted(per_comp.get(comp, ()), reverse=True):
             if pos >= a:
                 ctr = path_center(a)
             else:
                 ctr = min(pos + r, a - 1)
                 pos = ctr + r + 1
             pairs.append((comp_vertex(comp, ctr), r))
+        if pos < a:
+            raise InternalContradictionError(f"intervals cover {pos} of {a} in component {comp}")
     pairs.sort(key=lambda p: -p[1])
     return BudgetedCover(tuple(pairs), k)
 
 
-def naive_schedule_search(g: LabeledGraph) -> tuple[int, BurnSchedule]:
+def naive_schedule_search(g: Graph) -> tuple[int, BurnSchedule]:
     """Burning number by plain search over ignition sequences.
 
     Independent of the cover characterization: it never converts to balls,

@@ -15,25 +15,14 @@ Vertex ids are plain tuples with a total lexicographic order:
     ("v", name)        named vertex of a graph given by an edge list
 
 Within one graph only one family of ids appears (plus the head for spiders).
-Path-forest and spider graphs are built from runs of equal segment
-lengths: the lengths come sorted, so they take at most sqrt(2n) distinct
-values, and a build does O(sqrt(n)) Python steps plus the per-segment
-lengths and offsets arrays.  They never store their ids: index and id
-convert into each other by arithmetic on the segment layout (see
-SegmentVertices), and an id tuple is built only when it is read, many in
-one pass (ids_of, indices_of).  Their canonical order (ascending ids) is
-index arithmetic too: index order, with a spider's head last.  They hold
-no adjacency arrays either: neighbours are arithmetic too
-(SegmentVertices.neighbors for one row, closed_min for the rows around
-many vertices at once), and the closed-form kernel reads where each
-segment starts, plus on a spider each arm vertex's depth, computed on
-its first burn; a path forest stores nothing per vertex for it.
-Their CSR arrays are those neighbour rows packed, built only when
-something asks for them (the BFS kernel on graphs of order below 64, the
-exact solvers).  Graphs from edge lists come from the validated
-constructor LabeledGraph(vertices, edges), which takes the ids as a
-sequence and the edges as pairs of vertex indices; they keep their ids
-in a tuple, look indices up in a dict and store their CSR arrays.
+
+A graph is one of two classes, which answer the same queries (order,
+vertices, indices_of, ids_of, csr, closed_min, canonical_prefix and
+first_canonical).  SegmentGraph is a path forest or spider, kept as its
+sorted arm or component lengths: it stores neither ids nor adjacency,
+and computes both, and its canonical order, by arithmetic on the lengths.
+LabeledGraph is a graph from an edge list: it keeps its ids in a tuple,
+looks indices up in a dict and stores its CSR arrays.
 """
 
 from __future__ import annotations
@@ -198,31 +187,34 @@ def _exact_int(x) -> int | None:
     return i if i == x else None
 
 
-class SegmentVertices(Sequence):
-    """The vertex ids of a path forest or spider graph, computed on demand.
+class SegmentGraph(Sequence):
+    """A path forest (hub=False) or spider (hub=True), kept as its segment lengths.
 
-    The segment lengths come sorted non-increasing, so the constructor
-    reads them as runs of equal lengths (at most sqrt(2n) of them, each
-    found by one bisect): the order is an exact Python int, checked before
-    any array exists, and lengths (one np.repeat of the runs) and offsets
-    are the only arrays built.
+    The segments are a path forest's components or a spider's arms.  Their
+    lengths come sorted non-increasing, so the constructor reads them as
+    runs of equal lengths (at most sqrt(2n) of them, each found by one
+    bisect): the order is an exact Python int, checked before any array
+    exists, and lengths (one np.repeat of the runs) and offsets are the
+    only arrays built.
 
     Indices follow the segment layout: the spider head (hub) is index 0,
-    then segment s (an arm or a component) occupies lengths[s] consecutive
-    indices starting at offsets[s], ordered away from the hub.  Positions
-    are 1-based on spider arms, ("a", s, 1) being next to the head, and
-    0-based on path components.  Index and id convert by arithmetic (ids,
-    locate), so a graph holds no id tuples and no lookup dict.  Neighbours
-    are arithmetic too: neighbors gives one row, which only
-    LabeledGraph.csr reads, packing every row into the CSR arrays when
-    they are asked for; closed_min applies the same rule to the rows
-    around many vertices at once, for the schedule construction.  The
-    closed-form kernel reads offsets, and on a spider the arm depths,
-    built from the runs on the first burn and kept (depth); a path forest
-    keeps nothing per vertex for it.
+    then segment s occupies lengths[s] consecutive indices starting at
+    offsets[s], ordered away from the hub.  Positions are 1-based on spider
+    arms, ("a", s, 1) being next to the head, and 0-based on path
+    components.  The graph is the Sequence of its ids (vertices is the
+    graph itself), computed on demand: index and id convert by arithmetic
+    (ids_of, indices_of), so it holds no id tuples and no lookup dict.
+    Neighbours are arithmetic too: neighbors gives one row, which only csr
+    reads, packing every row into the CSR arrays when they are first asked
+    for; closed_min applies the same rule to the rows around many vertices
+    at once, for the schedule construction.  The closed-form kernel reads
+    lengths, hub and offsets, and on a spider the arm depths, built from
+    the runs on the first burn and kept (depth); a path forest keeps
+    nothing per vertex for it.
     """
 
-    __slots__ = ("lengths", "hub", "offsets", "_runs", "_n", "_starts", "_depth")
+    __slots__ = ("lengths", "hub", "offsets", "_runs", "_n", "_starts", "_depth",
+                 "_indptr", "_indices")
 
     def __init__(self, lengths: tuple[int, ...], hub: bool):
         runs, i, m = [], 0, len(lengths)
@@ -241,32 +233,39 @@ class SegmentVertices(Sequence):
         self.offsets = ends - self.lengths
         self._starts = None  # by _mark_starts, for neighbors and closed_min
         self._depth = None
+        self._indptr = self._indices = None  # packed by csr() when first asked for
+
+    @property
+    def vertices(self) -> SegmentGraph:
+        return self
 
     def __len__(self) -> int:
         return self._n
 
+    order = property(__len__)
+
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return self.ids(range(self._n)[i])
+            return self.ids_of(range(self._n)[i])
         i = _as_index(i)
         if i < 0:
             i += self._n
         if not 0 <= i < self._n:
             raise IndexError("vertex index out of range")
-        return self.ids((i,))[0]
+        return self.ids_of((i,))[0]
 
     def __iter__(self):
-        return iter(self.ids(np.arange(self._n)))
+        return iter(self.ids_of(np.arange(self._n)))
 
-    def ids(self, indices) -> tuple[VertexId, ...]:
-        """The ids of indices (each in [0, n)), by one searchsorted over offsets."""
+    def ids_of(self, indices) -> tuple[VertexId, ...]:
+        """The ids at these vertex indices (each in [0, n)), by one searchsorted over offsets."""
         seg = self.offsets.searchsorted(indices, "right") - 1
         pos = (indices - self.offsets[seg] + int(self.hub)).tolist()
         tag = "a" if self.hub else "c"
         return tuple([HEAD if s < 0 else (tag, s, p) for s, p in zip(seg.tolist(), pos)])
 
-    def locate(self, ids) -> list[int]:
-        """The index of every id, in one pass; -1 for one that is no vertex.
+    def indices_of(self, ids) -> list[int]:
+        """The index of every id, in one pass; InstanceError for a non-vertex.
 
         Accepts exactly the ids equal to one of the id tuples, as a dict
         lookup would, and never an out-of-segment position.
@@ -281,7 +280,9 @@ class SegmentVertices(Sequence):
                     if 0 <= pos < lengths.item(seg):
                         out.append(self.offsets.item(seg) + pos)
                         continue
-            out.append(0 if hub and isinstance(v, tuple) and v == HEAD else -1)
+            if not (hub and isinstance(v, tuple) and v == HEAD):
+                raise InstanceError(f"{v!r} is not a vertex of this graph")
+            out.append(0)
         return out
 
     def _mark_starts(self) -> bytes:
@@ -298,7 +299,7 @@ class SegmentVertices(Sequence):
         A segment vertex has its previous vertex (the hub, for the first
         vertex of a spider arm) and its next one, where they exist; the
         hub has the first vertex of every arm, returned as the offsets
-        array.  LabeledGraph.csr packs these rows into CSR arrays.
+        array.  csr packs these rows into CSR arrays.
         """
         if self.hub and i == 0:
             return self.offsets
@@ -312,6 +313,17 @@ class SegmentVertices(Sequence):
             row.append(i + 1)
         return row
 
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """The neighbour rows as CSR int32 arrays, packed on the first call and kept."""
+        if self._indptr is None:
+            n = self._n
+            rows = list(map(self.neighbors, range(n)))
+            indptr = np.zeros(n + 1, dtype=np.int32)
+            np.cumsum(np.fromiter(map(len, rows), np.int32, n), out=indptr[1:])
+            self._indices = np.fromiter(chain.from_iterable(rows), np.int32, int(indptr[-1]))
+            self._indptr = indptr
+        return self._indptr, self._indices
+
     def closed_min(self, times: np.ndarray, centers: list[int]) -> list[int]:
         """Least of times over each center's rows of neighbors, in one gather."""
         starts, hub = self._starts or self._mark_starts(), self.hub
@@ -324,6 +336,25 @@ class SegmentVertices(Sequence):
         got = times[rows].tolist()
         return list(map(min, got[::3], got[1::3], got[2::3]))
 
+    def canonical_prefix(self, count: int) -> list[int]:
+        """The first count vertices in canonical (ascending id) order.
+
+        That order is index order with a spider's head (index 0) last,
+        since ("a", ...) < ("head",); nothing of it is kept.
+        """
+        hub = int(self.hub)
+        return list(islice(chain(range(hub, self._n), range(hub)), count))
+
+    def first_canonical(self, mask: np.ndarray) -> int:
+        """The first vertex in canonical order where mask (n bools) holds.
+
+        mask must hold somewhere: one argmax over the arm or component
+        vertices, then the head.
+        """
+        hub = int(self.hub)
+        i = hub + int(mask[hub:].argmax())
+        return i if mask[i] else 0  # only the head is left
+
     def depth(self) -> np.ndarray | None:
         """engine.arm_depth of a spider's runs, computed on first call; None on a path forest."""
         if self._depth is None and self.hub:
@@ -332,24 +363,16 @@ class SegmentVertices(Sequence):
 
 
 class LabeledGraph:
-    """Immutable undirected simple graph over VertexIds.
+    """Immutable undirected simple graph over VertexIds, given by an edge list.
 
     `LabeledGraph(vertices, edges)` is the validated constructor: `vertices`
     are distinct ids, and `edges` holds pairs (i, j) of vertex indices, as a
     sequence of pairs or an (m, 2) integer array.  Repeated edges, in either
     orientation, collapse to one; self loops and indices outside [0, n) are
-    rejected.  Adjacency is kept as CSR int32 arrays with every row sorted,
-    so the burn kernel can run on large instances.  `vertices` is a tuple
-    for graphs built from edge lists and a SegmentVertices for path forests
-    and spiders.  Those hold no CSR arrays until `csr()` is first called,
-    which packs their arithmetic neighbour rows into the arrays and keeps
-    them.  `closed_min` reads the rounds around many vertices at once, by
-    arithmetic on a path forest or spider and from the CSR rows on an
-    edge-list graph.  So do `canonical_prefix` and `first_canonical`, the
-    schedule construction's filler and replacement picks in canonical
-    order: an edge-list graph reads them from its sorted ids, kept on the
-    first call, and a path forest or spider, which keeps no order, by
-    index arithmetic.
+    rejected.  The graph keeps its ids in a tuple, looks indices up in a
+    dict and keeps its adjacency as CSR int32 arrays with every row sorted.
+    `canonical_prefix` and `first_canonical` read the ids sorted once, on
+    the first call, and kept.
     """
 
     __slots__ = ("vertices", "_indptr", "_indices", "_index", "_canon")
@@ -386,103 +409,62 @@ class LabeledGraph:
         self._index = index
         self._canon = None
 
-    @classmethod
-    def _from_segments(cls, vertices: SegmentVertices):
-        # Trusted path used by the instance builders; symmetry and
-        # simplicity are guaranteed by construction there (and re-checked
-        # against the validated constructor in the test suite).
-        g = cls.__new__(cls)
-        g.vertices = vertices
-        g._indptr = g._indices = None  # packed by csr() when first asked for
-        g._index = None
-        g._canon = None  # canonical order is arithmetic here, never stored
-        return g
-
-    @property
-    def segments(self) -> SegmentVertices | None:
-        """The segment layout of a path-forest or spider graph, else None."""
-        return self.vertices if self._index is None else None
-
     @property
     def order(self) -> int:
         return len(self.vertices)
 
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._indptr is None:  # a path forest or spider: pack its rows
-            n = len(self.vertices)
-            rows = list(map(self.vertices.neighbors, range(n)))
-            indptr = np.zeros(n + 1, dtype=np.int32)
-            np.cumsum(np.fromiter(map(len, rows), np.int32, n), out=indptr[1:])
-            self._indices = np.fromiter(chain.from_iterable(rows), np.int32, int(indptr[-1]))
-            self._indptr = indptr
         return self._indptr, self._indices
 
     def closed_min(self, times: np.ndarray, centers: list[int]) -> list[int]:
-        """SegmentVertices.closed_min, or on CSR rows for an edge-list graph."""
-        if self._index is None:
-            return self.vertices.closed_min(times, centers)
+        """Least of times over each center and its CSR row."""
         ip, ix = self._indptr, self._indices
         return [int(times[ix[ip[c]:ip[c + 1]]].min(initial=times[c])) for c in centers]
 
     def indices_of(self, ids) -> list[int]:
         """The index of every id, in one pass; InstanceError for a non-vertex."""
         ids, index = tuple(ids), self._index
-        idx = self.vertices.locate(ids) if index is None else [index.get(v, -1) for v in ids]
+        idx = [index.get(v, -1) for v in ids]
         if -1 in idx:
             raise InstanceError(f"{ids[idx.index(-1)]!r} is not a vertex of this graph")
         return idx
 
     def ids_of(self, indices) -> tuple[VertexId, ...]:
         """The ids at these vertex indices, in one pass."""
-        if self._index is None:
-            return self.vertices.ids(indices)
         return tuple(self.vertices[i] for i in indices)
 
-    def canonical_order(self) -> np.ndarray:
-        """Vertex indices sorted by ascending VertexId.
-
-        On a path forest or spider this is index arithmetic, built anew
-        each time it is asked for: index order, with a spider's head
-        (index 0) last, since ("a", ...) < ("head",).  An edge-list graph
-        sorts its ids once and keeps the order.
-        """
-        if self._index is None:
-            return np.roll(np.arange(self.order, dtype=np.int32), -int(self.vertices.hub))
+    def _canonical_order(self) -> np.ndarray:
+        # vertex indices by ascending id, sorted on the first call and kept
         if self._canon is None:
             order = sorted(range(len(self.vertices)), key=self.vertices.__getitem__)
             self._canon = np.asarray(order, dtype=np.int32)
         return self._canon
 
     def canonical_prefix(self, count: int) -> list[int]:
-        """canonical_order()[:count] as a list; arithmetic on a path forest or spider."""
-        if self._index is None:
-            hub, n = int(self.vertices.hub), self.order
-            return list(islice(chain(range(hub, n), range(hub)), count))
-        return self.canonical_order()[:count].tolist()
+        """The first count vertices in canonical (ascending id) order."""
+        return self._canonical_order()[:count].tolist()
 
     def first_canonical(self, mask: np.ndarray) -> int:
         """The first vertex in canonical order where mask (n bools) holds.
 
-        mask must hold somewhere.  On a path forest or spider this is one
-        argmax over the arm or component vertices, then the head; an
-        edge-list graph gathers mask in its stored order.
+        mask must hold somewhere; it is gathered in the kept order.
         """
-        if self._index is None:
-            hub = int(self.vertices.hub)
-            i = hub + int(mask[hub:].argmax())
-            return i if mask[i] else 0  # only the head is left
-        canon = self.canonical_order()
+        canon = self._canonical_order()
         return int(canon[mask[canon].argmax()])
 
 
-def path_forest_to_graph(pf: PathForest) -> LabeledGraph:
-    """Explicit graph for a path forest: component c holds ("c", c, 0..a_c-1)."""
-    return LabeledGraph._from_segments(SegmentVertices(pf.orders, hub=False))
+# Either kind of graph; the library asks a graph only what both answer.
+Graph = SegmentGraph | LabeledGraph
 
 
-def spider_to_graph(sp: Spider) -> LabeledGraph:
-    """Explicit graph for a spider: index 0 is the head, arms are contiguous."""
-    return LabeledGraph._from_segments(SegmentVertices(sp.arms, hub=True))
+def path_forest_to_graph(pf: PathForest) -> SegmentGraph:
+    """The graph of a path forest: component c holds ("c", c, 0..a_c-1)."""
+    return SegmentGraph(pf.orders, hub=False)
+
+
+def spider_to_graph(sp: Spider) -> SegmentGraph:
+    """The graph of a spider: index 0 is the head, arms are contiguous."""
+    return SegmentGraph(sp.arms, hub=True)
 
 
 @dataclass(frozen=True)

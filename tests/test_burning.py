@@ -434,14 +434,12 @@ def test_hub_center_burned_through_an_arm_start(monkeypatch):
 
 def kept_lengths(g) -> dict[str, int]:
     """The length of every array, string or list a segment graph keeps, by
-    attribute, in its own slots and its SegmentVertices' (ints and None
-    left out)."""
+    attribute, in its slots (ints and None left out)."""
     kept = {}
-    for obj in (g, g.segments):
-        for name in type(obj).__slots__:
-            value = getattr(obj, name)
-            if value is not None and value is not g.segments and not isinstance(value, int):
-                kept[name] = value.size if isinstance(value, np.ndarray) else len(value)
+    for name in type(g).__slots__:
+        value = getattr(g, name)
+        if value is not None and not isinstance(value, int):
+            kept[name] = value.size if isinstance(value, np.ndarray) else len(value)
     return kept
 
 
@@ -464,13 +462,14 @@ def test_segment_graphs_keep_nothing_per_vertex_before_a_burn():
     # Built from the runs of equal lengths, a spider of many arms and a
     # path forest hold nothing longer than their segment count until they
     # burn: no canonical order, no depths, no CSR arrays.  The canonical
-    # order is built when asked for and not kept.  The first burn gives
-    # the spider its depths, one per arm vertex, and nothing else.
+    # order is computed when asked for, all of it here, and not kept.  The
+    # first burn gives the spider its depths, one per arm vertex, and
+    # nothing else.
     sp, pf = Spider((3,) * 50_000), PathForest((50,) * 30 + (7,) * 10)
     for g, segments in ((spider_to_graph(sp), sp.m), (path_forest_to_graph(pf), pf.t)):
         kept = kept_lengths(g)
         assert max(kept.values()) <= segments, kept
-        assert g.canonical_order().size == g.order
+        assert len(g.canonical_prefix(g.order + 1)) == g.order
         assert kept_lengths(g) == kept
     g = spider_to_graph(sp)
     assert completion(g, [arm_vertex(0, 3)]) == 1 + 3 + 3
@@ -534,7 +533,6 @@ def test_arithmetic_fillers_and_replacements_match_the_sorted_ids(monkeypatch):
     for g in shapes:
         n, dist = g.order, bfs_distances(g)
         canon = sorted(range(n), key=g.vertices.__getitem__)
-        assert g.canonical_order().tolist() == canon
         assert all(g.canonical_prefix(M) == canon[:M] for M in range(n + 3))
         for _ in range(3):
             mask = np.array([rng.random() < 0.3 for _ in range(n)])
@@ -545,7 +543,7 @@ def test_arithmetic_fillers_and_replacements_match_the_sorted_ids(monkeypatch):
             M = k + rng.randint(0, n)
             cases.append((g, centers, M, reference_sequential(g, dist, centers, M)))
     replaced = sum(any(a != b for a, b in zip(c, ref[0])) for _, c, _, ref in cases)
-    past_order = sum(M >= g.order and g.segments.hub for g, _, M, _ in cases)
+    past_order = sum(M >= g.order and g.hub for g, _, M, _ in cases)
     assert replaced > 1000 and past_order > 100, (replaced, past_order)
     for cutoff in (0, 10**9):
         monkeypatch.setattr(burning, "_CLOSED_FORM_MIN_ORDER", cutoff)
@@ -563,7 +561,10 @@ def test_large_segment_graphs_build_no_csr(monkeypatch):
 
     depths = []
     real_depth = model.arm_depth
-    monkeypatch.setattr(model.LabeledGraph, "csr", refuse)
+    # the class a path forest or spider graph has, so the patch is live
+    assert type(path_forest_to_graph(PathForest((1,)))) is model.SegmentGraph
+    assert type(spider_to_graph(Spider((1, 1, 1)))) is model.SegmentGraph
+    monkeypatch.setattr(model.SegmentGraph, "csr", refuse)
     monkeypatch.setattr(model, "arm_depth", lambda lens: depths.append(1) or real_depth(lens))
     rng = random.Random(20261019)
     cutoff = burning._CLOSED_FORM_MIN_ORDER

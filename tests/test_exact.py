@@ -7,7 +7,7 @@ import pytest
 from conftest import partitions
 from burnkit import exact
 from burnkit.burning import schedule_from_cover, verify_schedule
-from burnkit.errors import InstanceError, SizeGuardError
+from burnkit.errors import InstanceError, InternalContradictionError, SizeGuardError
 from burnkit.exact import exact_burning_number, exact_path_forest, naive_schedule_search
 from burnkit.gen import random_path_forest
 from burnkit.model import (
@@ -49,6 +49,18 @@ def test_path_forest_witness_is_a_real_cover():
         schedule = schedule_from_cover(g, cover)
         assert schedule.claimed_time <= k
         assert verify_schedule(g, schedule)
+
+
+def test_path_forest_witness_must_cover_every_component(monkeypatch):
+    # An assignment that leaves a component short, by too small an
+    # interval or by none at all, raises instead of returning a cover that
+    # burns too little; the true assignment for (5, 3) at k = 3 passes.
+    pf = PathForest((5, 3))
+    assert exact_path_forest(pf)[0] == 3
+    for short in ([(0, 2), (1, 0)], [(0, 1), (1, 2)], [(0, 2), (0, 1)]):
+        monkeypatch.setattr(exact, "_assign_intervals", lambda orders, k, nodes: short)
+        with pytest.raises(InternalContradictionError, match="component"):
+            exact_path_forest(pf)
 
 
 def test_graph_oracle_known_values():

@@ -26,11 +26,10 @@ def csr(g, sources):
 
 
 def closed_form(g, sources):
-    seg = g.segments
-    return engine.burn_times_segments(seg.lengths, seg.hub, sources, seg.offsets, seg.depth())
+    return engine.burn_times_segments(g.lengths, g.hub, sources, g.offsets, g.depth())
 
 
-# Each entry burns a LabeledGraph: burn(g, sources) -> first-burn rounds.
+# Each entry burns a graph: burn(g, sources) -> first-burn rounds.
 KERNELS = [pytest.param(csr, id="csr"), pytest.param(closed_form, id="closed_form")]
 
 
@@ -93,7 +92,7 @@ def test_closed_form_matches_bfs_on_random_segment_graphs():
         expected = csr(g, sources)
         got = closed_form(g, np.asarray(sources, dtype=np.int32))
         assert got.dtype == np.int32
-        assert np.array_equal(got, expected), (g.segments.lengths, g.segments.hub, sources)
+        assert np.array_equal(got, expected), (g.lengths, g.hub, sources)
 
 
 def test_closed_form_matches_bfs_on_large_instances():
@@ -169,17 +168,17 @@ def test_closed_form_touched_minority_with_repeats_and_burned_sources():
             g = spider_to_graph(Spider(segments))
         else:
             g = path_forest_to_graph(PathForest(segments))
-        offsets, lengths = g.segments.offsets, g.segments.lengths
+        offsets, lengths = g.offsets, g.lengths
         few = rng.sample(range(len(lengths)), rng.randint(1, 3))
         pool = [int(offsets[s]) + rng.randrange(int(lengths[s])) for s in few for _ in range(3)]
-        if g.segments.hub:
+        if g.hub:
             pool.append(0)
         sources = [rng.choice(pool) for _ in range(rng.randint(1, 12))]
         # a neighbour of an earlier source, ignited after the fire got there
         first = sources[0]
         sources.append(first + 1 if first + 1 < g.order else first - 1)
         got = closed_form(g, sources)
-        assert np.array_equal(got, csr(g, sources)), (segments, g.segments.hub, sources)
+        assert np.array_equal(got, csr(g, sources)), (segments, g.hub, sources)
 
 
 def test_closed_form_touched_majority_with_repeats(monkeypatch):
@@ -199,18 +198,18 @@ def test_closed_form_touched_majority_with_repeats(monkeypatch):
             g = spider_to_graph(Spider(segments))
         else:
             g = path_forest_to_graph(PathForest(segments))
-        offsets, lengths = g.segments.offsets, g.segments.lengths
+        offsets, lengths = g.offsets, g.lengths
         # the longest segment and some others, never all of them
         few = [0, *rng.sample(range(1, len(lengths)), rng.randrange(len(lengths) - 1))]
         if not 0.5 <= lengths[few].sum() / g.order < 1:
             continue
         pool = [int(offsets[s]) + rng.randrange(int(lengths[s])) for s in few for _ in range(2)]
-        if g.segments.hub:
+        if g.hub:
             pool.append(0)
         sources = pool + [rng.choice(pool) for _ in range(len(pool))]  # some repeated
         rng.shuffle(sources)
         got = closed_form(g, sources)
-        assert np.array_equal(got, csr(g, sources)), (segments, g.segments.hub, sources)
+        assert np.array_equal(got, csr(g, sources)), (segments, g.hub, sources)
         checked += 1
     assert checked >= 250, checked
     assert not any(in_place for _, _, in_place in sweeps)
@@ -288,13 +287,13 @@ def test_closed_form_reuses_one_graph_across_calls():
         path_forest_to_graph(PathForest(tuple(rng.randint(1, 40) for _ in range(30)))),
         spider_to_graph(Spider(tuple(rng.randint(1, 40) for _ in range(30)))),
     ):
-        depth = g.segments.depth()
-        assert (depth is None) == (not g.segments.hub)
+        depth = g.depth()
+        assert (depth is None) == (not g.hub)
         for k in (1, 3, 2 * g.order, 0, 5, 3 * g.order + 7, 1):
             pool = rng.sample(range(g.order), min(3, g.order))
             sources = [rng.choice(pool) for _ in range(k)]
             assert np.array_equal(closed_form(g, sources), csr(g, sources)), (k, sources)
-        assert g.segments.depth() is depth
+        assert g.depth() is depth
 
 
 def _floyd_warshall(n, edges):

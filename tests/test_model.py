@@ -23,8 +23,9 @@ from burnkit import (
     path_forest_to_graph,
     spider_to_graph,
 )
+from burnkit.burning import _CLOSED_FORM_MIN_ORDER
 from burnkit.gen import random_path_forest, random_spider
-from burnkit.model import MAX_ORDER, SegmentVertices
+from burnkit.model import MAX_ORDER, SegmentGraph
 
 
 def test_ceil_sqrt_small():
@@ -93,7 +94,7 @@ def test_path_forest_graph_shape():
     assert len(g.csr()[1]) // 2 == 7 - 3  # n - t edges in a path forest
     assert neighbors(g, comp_vertex(0, 1)) == (comp_vertex(0, 0), comp_vertex(0, 2))
     assert neighbors(g, comp_vertex(2, 0)) == ()
-    assert list(g.canonical_order()) == list(range(7))
+    assert sorted(range(g.order), key=g.vertices.__getitem__) == list(range(7))
 
 
 def test_spider_graph_shape():
@@ -106,7 +107,7 @@ def test_spider_graph_shape():
     assert neighbors(g, HEAD) == (arm_vertex(0, 1), arm_vertex(1, 1), arm_vertex(2, 1))
     assert neighbors(g, arm_vertex(0, 3)) == (arm_vertex(0, 2),)
     # canonical order visits arm vertices first, head last
-    canon = g.canonical_order()
+    canon = sorted(range(g.order), key=g.vertices.__getitem__)
     assert g.vertices[canon[-1]] == HEAD
 
 
@@ -231,7 +232,7 @@ def test_segment_vertices_behave_like_the_id_tuple():
             g.vertices[g.order]
         with pytest.raises(IndexError):
             g.vertices[-g.order - 1]
-    assert LabeledGraph((graph_vertex("a"),)).segments is None
+    assert not isinstance(LabeledGraph((graph_vertex("a"),)), SegmentGraph)
 
 
 def test_spider_graph_matches_the_validated_constructor():
@@ -244,7 +245,7 @@ def test_spider_graph_matches_the_validated_constructor():
     for a, b in zip(fast.csr(), slow.csr()):
         assert a.dtype == b.dtype and np.array_equal(a, b)
     canon = sorted(range(slow.order), key=slow.vertices.__getitem__)
-    assert fast.canonical_order().tolist() == canon
+    assert fast.canonical_prefix(fast.order) == slow.canonical_prefix(slow.order) == canon
 
 
 def _csr_rows(g):
@@ -281,11 +282,52 @@ def test_segment_neighbors_are_the_csr_rows():
     shapes.append(spider_to_graph(random_spider(rng, 6000, 2500)))
     for g in shapes:
         ref = _validated_graph(tuple(g.vertices))
-        rows = [np.asarray(g.segments.neighbors(i)).tolist() for i in range(g.order)]
-        assert rows == _csr_rows(ref), g.segments.lengths
+        rows = [np.asarray(g.neighbors(i)).tolist() for i in range(g.order)]
+        assert rows == _csr_rows(ref), g.lengths
         for a, b in zip(g.csr(), ref.csr()):
-            assert a.dtype == b.dtype and np.array_equal(a, b), g.segments.lengths
-        assert g.canonical_order().tolist() == ref.canonical_order().tolist()
+            assert a.dtype == b.dtype and np.array_equal(a, b), g.lengths
+        assert g.canonical_prefix(g.order) == ref.canonical_prefix(ref.order)
+
+
+def test_both_graph_classes_answer_every_query_alike():
+    # Every path forest and spider of order <= 14, and seeded ones at and
+    # above the closed-form cutoff, as a SegmentGraph and as a LabeledGraph
+    # over the same ids whose edges are listed independently: each query
+    # the library asks of a graph gets the same answer from both.
+    shapes = [path_forest_to_graph(PathForest(o)) for n in range(1, 15) for o in partitions(n)]
+    shapes += [spider_to_graph(Spider(arms)) for arms in spider_arm_sets(14)]
+    rng = random.Random(20261021)
+    for n in (_CLOSED_FORM_MIN_ORDER, _CLOSED_FORM_MIN_ORDER + 1, 300):
+        shapes.append(path_forest_to_graph(random_path_forest(rng, n, rng.randint(1, n // 4))))
+        shapes.append(spider_to_graph(random_spider(rng, n, rng.randint(3, n // 4))))
+    for g in shapes:
+        n, ref = g.order, _validated_graph(list(g.vertices))
+        assert isinstance(g, SegmentGraph) and not isinstance(ref, SegmentGraph)
+        assert ref.order == n
+        # index -> id -> index, all at once, with repeats and out of order
+        idx = [*range(n), *(rng.randrange(n) for _ in range(5)), n - 1, 0]
+        ids = ref.ids_of(idx)
+        assert g.ids_of(np.asarray(idx)) == g.ids_of(idx) == ids
+        assert g.indices_of(ids) == ref.indices_of(ids) == idx
+        for a, b in zip(g.csr(), ref.csr()):
+            assert a.dtype == b.dtype and np.array_equal(a, b), g.lengths
+        for M in range(n + 3):
+            assert g.canonical_prefix(M) == ref.canonical_prefix(M), (g.lengths, M)
+        masks = [np.arange(n) == 0, np.arange(n) == n - 1]
+        for _ in range(3):
+            mask = np.array([rng.random() < 0.3 for _ in range(n)])
+            mask[rng.randrange(n)] = True
+            masks.append(mask)
+        for mask in masks:
+            assert g.first_canonical(mask) == ref.first_canonical(mask), (g.lengths, mask)
+        # the head (or first vertex), every segment's start and end, and
+        # seeded centers with repeats
+        ends = (g.offsets + g.lengths - 1).tolist()
+        centers = [0, *g.offsets.tolist(), *ends, *(rng.randrange(n) for _ in range(8)), 0]
+        rng.shuffle(centers)
+        for _ in range(3):
+            times = np.array([rng.randint(1, 2 * n) for _ in range(n)], dtype=np.int32)
+            assert g.closed_min(times, centers) == ref.closed_min(times, centers), g.lengths
 
 
 def test_edge_list_neighbors_are_the_csr_rows():
@@ -298,10 +340,10 @@ def test_edge_list_neighbors_are_the_csr_rows():
 
 def test_segment_graph_builds_its_csr_once_when_asked(monkeypatch):
     asked = []
-    real = SegmentVertices.neighbors
-    monkeypatch.setattr(SegmentVertices, "neighbors", lambda self, i: asked.append(i) or real(self, i))
+    real = SegmentGraph.neighbors
+    monkeypatch.setattr(SegmentGraph, "neighbors", lambda self, i: asked.append(i) or real(self, i))
     g = spider_to_graph(Spider((3, 2, 1)))
-    g.segments.neighbors(0), g.segments.neighbors(4), g.segments.depth()
+    g.neighbors(0), g.neighbors(4), g.depth()
     assert asked == [0, 4]
     indptr, indices = g.csr()
     again = g.csr()
@@ -315,8 +357,8 @@ def test_segment_graphs_refuse_orders_past_the_index_range():
     for lengths, hub in (((MAX_ORDER + 1,), False), ((MAX_ORDER,), True),
                          ((MAX_ORDER // 2, MAX_ORDER // 2, 2), False)):
         with pytest.raises(InstanceError, match=str(MAX_ORDER)):
-            SegmentVertices(lengths, hub)
-    assert len(SegmentVertices((MAX_ORDER - 1,), hub=True)) == MAX_ORDER
+            SegmentGraph(lengths, hub)
+    assert len(SegmentGraph((MAX_ORDER - 1,), hub=True)) == MAX_ORDER
     # lengths past int64 too: the order is checked before the conversion
     with pytest.raises(InstanceError, match=str(MAX_ORDER)):
         path_forest_to_graph(PathForest((2**64,)))
