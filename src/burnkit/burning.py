@@ -7,9 +7,12 @@ N_{r_i}[v_i] whose sorted non-increasing radii satisfy r_(i) <= M - i:
 igniting the centers largest-radius-first realizes the cover as a schedule,
 and conversely the balls N_{T-i}[s_i] of a T-round schedule cover the graph.
 schedule_from_cover meets ids only at its boundary, one bulk conversion
-each way.  In between it burns all of its sources, centers and fillers,
-in one kernel run, and burns again only after replacing a center that
-was already burned at its round.
+each way.  In between it places all of its sources, centers and fillers,
+at once, and reads their burn from a burn state, built again only after
+replacing a center that was already burned at its round.  On path forests
+and spiders from _CLOSED_FORM_MIN_ORDER up that state is built from the
+sources alone (engine.SegmentBurn), so the one kernel run per schedule is
+the final check; elsewhere each state is one kernel run.
 """
 
 from __future__ import annotations
@@ -34,7 +37,12 @@ from .model import BudgetedCover, BurnSchedule, Graph, SegmentGraph, VertexId
 # CSR arrays only to take the BFS.  Measured crossover of graph build plus
 # seed and verify burns, BFS on the packed CSR against the closed form,
 # median of 30 random shapes per order, three seeds (2 cores, Python 3.11,
-# numpy 2.4): order 57-66 on path forests, 78-84 on spiders.
+# numpy 2.4): order 57-66 on path forests, 78-84 on spiders.  The same
+# order gates the schedule construction's burn state (_schedule_sequential),
+# as engine.SegmentBurn has a fixed numpy cost too: with it on every path
+# forest and spider, perfbench's exact_small (spiders of order <= 22, path
+# forests of order <= 18) fell from 401-434 to 207-231 ops a second, two
+# 8 s runs each (2 cores, Python 3.11.7, numpy 2.4.6).
 _CLOSED_FORM_MIN_ORDER = 64
 
 
@@ -45,10 +53,15 @@ def _source_indices(g: Graph, sources) -> np.ndarray:
     return np.asarray(idx, dtype=np.int32)
 
 
+def _closed_form(g: Graph) -> bool:
+    """Whether g is a SegmentGraph (path forest or spider) of order
+    _CLOSED_FORM_MIN_ORDER and up, which burns through the closed form."""
+    return isinstance(g, SegmentGraph) and g.order >= _CLOSED_FORM_MIN_ORDER
+
+
 def _times_raw(g: Graph, source_idx: np.ndarray) -> np.ndarray:
-    """First-burn rounds by index: the closed form on a SegmentGraph (path
-    forest or spider) of order _CLOSED_FORM_MIN_ORDER and up, else the BFS."""
-    if isinstance(g, SegmentGraph) and g.order >= _CLOSED_FORM_MIN_ORDER:
+    """First-burn rounds by index: the closed form where _closed_form holds, else the BFS."""
+    if _closed_form(g):
         return engine.burn_times_segments(g.lengths, g.hub, source_idx, g.offsets, g.depth())
     indptr, indices = g.csr()
     return engine.burn_times_csr(indptr, indices, source_idx)
@@ -133,39 +146,63 @@ def schedule_from_cover(g: Graph, cover: BudgetedCover) -> BurnSchedule:
     return BurnSchedule(g.ids_of(sources), claimed)
 
 
+class _KernelBurn:
+    """The kernel's rounds array under the queries of engine.SegmentBurn,
+    read through the graph (closed_min, first_canonical)."""
+
+    never = np.iinfo(np.int32).max  # above every round
+
+    def __init__(self, g: Graph, sources: list[int]):
+        self._g = g
+        self._times = times = _times_raw(g, np.asarray(sources, dtype=np.int32))
+        times[times < 0] = self.never
+        self.completion = int(times.max())
+
+    def closed_min(self, centers: list[int]) -> list[int]:
+        return self._g.closed_min(self._times, centers)
+
+    def first_unburned(self, L: int) -> int:
+        return self._g.first_canonical(self._times > L)
+
+
 def _schedule_sequential(g: Graph, center_idx: list[int], M: int):
     """Index sources and completion round (inf if never) of the construction.
 
     Each pass burns the centers as replaced so far, followed by the fillers
     (the smallest vertices in canonical order that are no center, up to M
-    sources in all), in one kernel run.  The graph makes the canonical
-    picks (g.canonical_prefix, g.first_canonical), by index arithmetic on
-    a SegmentGraph, so there the construction holds nothing per vertex
-    but the kernel's rounds.  A center is burned at its round j
-    iff its round or a neighbour's is below j, and rounds below j depend
-    only on the sources of earlier rounds, so one gather (g.closed_min)
-    finds the first center burned at its round.  It adds nothing to the
-    fire, and the rounds up to its own are exact; it is replaced by the
-    smallest vertex still unburned after that round's spread, and the next
-    pass burns again and reads on from there.  Without such a center the
-    sources are cut at the completion round.
+    sources in all), into a burn state with three queries: completion,
+    closed_min and first_unburned.  Where _closed_form holds that is an
+    engine.SegmentBurn, built from the sources alone with nothing n-long,
+    so the construction runs no kernel; elsewhere it is the kernel's
+    rounds array, read through the graph (_KernelBurn).  The fillers are
+    g.canonical_prefix, by index arithmetic on a SegmentGraph.  A center
+    is burned at its round j iff its round or a neighbour's is below j,
+    and rounds below j depend only on the sources of earlier rounds, so
+    one closed_min finds the first center burned at its round.  It adds
+    nothing to the fire, and the rounds up to its own are exact; it is
+    replaced by the first vertex in canonical order still unburned after
+    that round's spread, and the next pass builds its state again and
+    reads on from there.  Without such a center the sources are cut at
+    the completion round.
     """
     k = len(center_idx)
     fillers = g.canonical_prefix(M)  # at most k of these are centers
+    closed = _closed_form(g)
     sources = list(center_idx)
     fixed = 1  # the sources of rounds up to this one stand; none burns before round 1
     while True:
         taken = set(sources[:k])
         sources[k:] = [v for v in fillers if v not in taken][:M - k]
-        times = _times_raw(g, np.asarray(sources, dtype=np.int32))
-        never = np.iinfo(times.dtype).max  # above every round
-        times[times < 0] = never
-        done = int(times.max())
-        lows = g.closed_min(times, sources[fixed:min(k, done)])
+        if closed:
+            state = engine.SegmentBurn(g.lengths, g.hub, sources, g.offsets)
+        else:
+            state = _KernelBurn(g, sources)
+        done = state.completion
+        lows = state.closed_min(sources[fixed:min(k, done)])
         late = next((j for j, low in enumerate(lows, fixed + 1) if low < j), None)
         if late is None:
-            return sources[:done], math.inf if done == never else done
+            return sources[:done], math.inf if done == state.never else done
         if done == late:  # the spread of that round burned the graph
             return sources[:late - 1], late
-        sources[late - 1] = g.first_canonical(times > late)
+        sources[late - 1] = state.first_unburned(late)
         fixed = late

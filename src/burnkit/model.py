@@ -207,10 +207,13 @@ class SegmentGraph(Sequence):
     Neighbours are arithmetic too: neighbors gives one row, which only csr
     reads, packing every row into the CSR arrays when they are first asked
     for; closed_min applies the same rule to the rows around many vertices
-    at once, for the schedule construction.  The closed-form kernel reads
-    lengths, hub and offsets, and on a spider the arm depths, built from
-    the runs on the first burn and kept (depth); a path forest keeps
-    nothing per vertex for it.
+    at once, for the schedule construction below the closed-form order
+    (burning._CLOSED_FORM_MIN_ORDER).  From that order up the construction
+    reads engine.SegmentBurn instead, so a large graph never builds the
+    n + 1 start bytes that closed_min and neighbors read.  The closed-form
+    kernel reads lengths, hub and offsets, and on a spider the arm depths,
+    built from the runs on the first burn and kept (depth); a path forest
+    keeps nothing per vertex for it.
     """
 
     __slots__ = ("lengths", "hub", "offsets", "_runs", "_n", "_starts", "_depth",
@@ -231,7 +234,7 @@ class SegmentGraph(Sequence):
         self.hub = hub
         ends = np.cumsum(self.lengths) + int(hub)
         self.offsets = ends - self.lengths
-        self._starts = None  # by _mark_starts, for neighbors and closed_min
+        self._starts = None  # by _mark_starts, for neighbors and closed_min: small graphs only
         self._depth = None
         self._indptr = self._indices = None  # packed by csr() when first asked for
 

@@ -327,7 +327,7 @@ def test_fast_path_defers_center_replacement():
     assert verify_schedule(g, schedule)
 
 
-def test_schedule_from_cover_matches_the_reference_construction():
+def test_schedule_from_cover_matches_the_reference_construction(monkeypatch):
     for n in range(1, 11):
         for orders in partitions(n):
             assert matches_reference(pf_graph(*orders), center_cover(orders))
@@ -345,18 +345,24 @@ def test_schedule_from_cover_matches_the_reference_construction():
     assert matches_reference(pf_graph(3, 1), cover)
     assert schedule_from_cover(pf_graph(3, 1), cover) == BurnSchedule((c(0, 1), c(1, 0)), 2)
 
-    # Seeded covers on both sides of the order at which the kernel changes.
+    # Seeded covers on both sides of the order at which the kernel and the
+    # construction's burn state change, then each under both kernels and
+    # both states.
     rng = random.Random(20261018)
     cutoff = burning._CLOSED_FORM_MIN_ORDER
-    outcomes = set()
+    cases = []
     for i in range(320):
         n = rng.randint(4, cutoff - 1) if i % 2 else rng.randint(cutoff, 2 * cutoff)
         if rng.random() < 0.5:
             g = path_forest_to_graph(random_path_forest(rng, n, rng.randint(1, min(n, 6))))
         else:
             g = spider_to_graph(random_spider(rng, n, rng.randint(3, min(n - 1, 8))))
-        outcomes.add(matches_reference(g, random_cover(rng, g)))
+        cases.append((g, random_cover(rng, g)))
+    outcomes = {matches_reference(g, cover) for g, cover in cases}
     assert outcomes == {True, False}
+    for cutoff in (0, 10**9):
+        monkeypatch.setattr(burning, "_CLOSED_FORM_MIN_ORDER", cutoff)
+        assert {matches_reference(g, cover) for g, cover in cases} == outcomes
 
 
 def replacements(cover, schedule):
@@ -390,8 +396,9 @@ def test_several_replacements_in_one_schedule(monkeypatch):
     # The second and third centers sit next to the first, so each is
     # burned before its round and replaced by the smallest unburned vertex;
     # the fourth, 0:1, burns only through the first replacement, 0:0, so
-    # it is caught only by burning again after a replacement.  Both graphs
-    # burn through the closed form, though below its cutoff.
+    # it is caught only by reading the burn again after a replacement.
+    # Both graphs take the closed form and its burn state, though below
+    # their cutoff.
     monkeypatch.setattr(burning, "_CLOSED_FORM_MIN_ORDER", 0)
     g = pf_graph(60)
     pairs = ((c(0, 30), 29), (c(0, 31), 5), (c(0, 29), 4), (c(0, 1), 3), (c(0, 45), 2))
@@ -400,8 +407,9 @@ def test_several_replacements_in_one_schedule(monkeypatch):
     burns = count_burns(monkeypatch)
     schedule = schedule_from_cover(g, cover)
     assert replacements(cover, schedule) == 3
-    # one burn per pass, a pass per replacement, and one to check
-    assert len(burns) == 2 + 3
+    # the passes, one per replacement and one more, read burn states built
+    # from the sources alone: the one kernel run checks the schedule
+    assert len(burns) == 1
     assert schedule.sources[:5] == (c(0, 30), c(0, 0), c(0, 2), c(0, 4), c(0, 45))
 
     sp = Spider((15, 15, 15))  # order 46
@@ -476,6 +484,26 @@ def test_segment_graphs_keep_nothing_per_vertex_before_a_burn():
     kept = kept_lengths(g)
     assert kept.pop("_depth") == g.order - 1
     assert max(kept.values()) <= sp.m, kept
+
+
+def test_large_segment_graphs_schedule_with_nothing_per_vertex():
+    # From the cutoff up the construction reads burn states built from the
+    # sources, and only the check burns through the kernel: after
+    # schedule_from_cover a path forest holds nothing longer than its
+    # component count, and a spider nothing but its arm depths, which
+    # that check computes.
+    cutoff = burning._CLOSED_FORM_MIN_ORDER
+    pf, sp = PathForest((cutoff // 2,) * 5 + (3,) * 4), Spider((cutoff // 2,) * 4 + (2,) * 3)
+    for g, segments in ((path_forest_to_graph(pf), pf.t), (spider_to_graph(sp), sp.m)):
+        assert g.order >= cutoff
+        # the second center burns before its round and is replaced
+        pairs = ((g.vertices[g.order // 2], g.order), (g.vertices[g.order // 2 + 1], 3))
+        cover = BudgetedCover(pairs, g.order + 2)
+        assert matches_reference(g, cover)
+        assert replacements(cover, schedule_from_cover(g, cover)) == 1
+        kept = kept_lengths(g)
+        assert kept.pop("_depth", g.order - 1) == g.order - 1
+        assert max(kept.values()) <= segments, kept
 
 
 def bfs_distances(g) -> list[list[int | float]]:

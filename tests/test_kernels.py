@@ -2,16 +2,19 @@
 
 The CSR kernel runs on any graph and is checked against min_i (i + d(s_i,
 v)), the first-burn round the process defines; the closed-form kernel
-serves path forests and spiders and is checked against the CSR kernel.
+serves path forests and spiders and is checked against the CSR kernel,
+and so is the burn state the schedule construction reads there.
 """
 
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from burnkit import engine
 from burnkit.errors import InstanceError
+from burnkit.gen import random_path_forest, random_spider
 from burnkit.model import (
     LabeledGraph,
     PathForest,
@@ -275,6 +278,14 @@ def test_kernels_reject_non_integer_sources(burn):
         assert burn(g, good).tolist() == expected
 
 
+def test_segment_burn_rejects_what_the_kernels_reject():
+    # The same validation as the closed form: the sources are placed by one helper.
+    g = spider_to_graph(Spider((2, 1, 1)))
+    for bad in ([-1], [5], [0, 7], [1.5], ["1"], [True], [[0, 1]], [None]):
+        with pytest.raises(InstanceError):
+            engine.SegmentBurn(g.lengths, g.hub, bad, g.offsets)
+
+
 def test_closed_form_reuses_one_graph_across_calls():
     # One graph, one depth array on a spider and none on a path forest,
     # source lists of growing and shrinking length: the segment separation
@@ -294,6 +305,51 @@ def test_closed_form_reuses_one_graph_across_calls():
             sources = [rng.choice(pool) for _ in range(k)]
             assert np.array_equal(closed_form(g, sources), csr(g, sources)), (k, sources)
         assert g.depth() is depth
+
+
+def test_segment_burn_answers_as_both_kernels():
+    # engine.SegmentBurn holds a burn as points built from the sources
+    # alone.  Its three queries must read what the graph reads from either
+    # kernel's rounds: the completion, closed_min at every vertex, and the
+    # first vertex unburned after every round L that leaves one.
+    rng = random.Random(20261021)
+    seen = Counter()
+    for _ in range(1500):
+        n = rng.randint(1, 60)
+        if n < 4 or rng.random() < 0.5:
+            g = path_forest_to_graph(random_path_forest(rng, n, rng.randint(1, min(n, 8))))
+        else:
+            g = spider_to_graph(random_spider(rng, n, rng.randint(3, min(n - 1, 10))))
+        offsets, lengths = g.offsets, g.lengths
+        if rng.random() < 0.5:  # sources on a few segments, the others untouched
+            few = rng.sample(range(len(lengths)), rng.randint(1, min(3, len(lengths))))
+            pool = [int(offsets[s]) + rng.randrange(int(lengths[s])) for s in few for _ in range(3)]
+        else:
+            pool = list(range(g.order))
+        if g.hub and rng.random() < 0.5:
+            pool.append(0)
+        sources = [rng.choice(pool) for _ in range(rng.randint(0, 12))]
+        if sources and g.order > 1:
+            # a neighbour of the first source, ignited after the fire got there
+            sources.append(sources[0] + 1 if sources[0] + 1 < g.order else sources[0] - 1)
+        state = engine.SegmentBurn(lengths, g.hub, sources, offsets)
+        everyone = list(range(g.order))
+        lows = state.closed_min(everyone)
+        for times in (closed_form(g, sources), csr(g, sources)):
+            unburned = times < 0
+            rounds = np.where(unburned, state.never, times)
+            assert state.completion == rounds.max(), (lengths, g.hub, sources)
+            assert lows == g.closed_min(rounds, everyone), (lengths, g.hub, sources)
+            for L in range(int(times.max()) + unburned.any()):
+                got = state.first_unburned(L)
+                assert got == g.first_canonical(rounds > L), (lengths, g.hub, sources, L)
+        touched = set((offsets.searchsorted(sources, "right") - 1).tolist()) - {-1}
+        seen["repeated"] += len(set(sources)) < len(sources)
+        seen["head"] += g.hub and 0 in sources
+        seen["burned"] += any(times[s] < i for i, s in enumerate(sources, 1))
+        seen["untouched arm"] += g.hub and len(touched) < len(lengths)
+        seen["untouched component"] += not g.hub and len(touched) < len(lengths)
+    assert min(seen.values()) > 100 and len(seen) == 5, seen
 
 
 def _floyd_warshall(n, edges):
