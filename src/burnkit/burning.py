@@ -7,12 +7,16 @@ N_{r_i}[v_i] whose sorted non-increasing radii satisfy r_(i) <= M - i:
 igniting the centers largest-radius-first realizes the cover as a schedule,
 and conversely the balls N_{T-i}[s_i] of a T-round schedule cover the graph.
 schedule_from_cover meets ids only at its boundary, one bulk conversion
-each way.  In between it places all of its sources, centers and fillers,
-at once, and reads their burn from a burn state, built again only after
-replacing a center that was already burned at its round.  On path forests
-and spiders from _CLOSED_FORM_MIN_ORDER up that state is built from the
-sources alone (engine.SegmentBurn), so the one kernel run per schedule is
-the final check; elsewhere each state is one kernel run.
+each way.  The path-forest and spider constructions do not meet them
+before the end: they hand their centers over as (segment, position)
+columns, which become indices in one pass (_cover_and_schedule), and the
+ids of the cover and of the schedule are built together, in one ids_of.
+In between, _schedule_indices places all of its sources, centers and
+fillers, at once, and reads their burn from a burn state, built again
+only after replacing a center that was already burned at its round.
+On path forests and spiders from _CLOSED_FORM_MIN_ORDER up that state is
+built from the sources alone (engine.SegmentBurn), so the one kernel run
+per schedule is the final check; elsewhere each state is one kernel run.
 """
 
 from __future__ import annotations
@@ -129,8 +133,17 @@ def schedule_from_cover(g: Graph, cover: BudgetedCover) -> BurnSchedule:
     if g.order == 0:
         raise InstanceError("cannot schedule on an empty graph")
     centers = [v for v, _ in sorted(cover.pairs, key=itemgetter(1), reverse=True)]
-    M = cover.budget
-    sources, claimed = _schedule_sequential(g, g.indices_of(centers), M)
+    sources, claimed = _schedule_indices(g, g.indices_of(centers), cover.budget)
+    return BurnSchedule(g.ids_of(sources), claimed)
+
+
+def _schedule_indices(g: Graph, center_idx: list[int], M: int) -> tuple[np.ndarray, int]:
+    """schedule_from_cover on center indices already in its ignition order.
+
+    Returns the schedule's source indices and its round count, after the
+    same coverage errors and the same re-simulation.
+    """
+    sources, claimed = _schedule_sequential(g, center_idx, M)
     if claimed == math.inf:
         raise CoverageError("cover leaves unreachable vertices unburned")
     if claimed > M:
@@ -143,7 +156,28 @@ def schedule_from_cover(g: Graph, cover: BudgetedCover) -> BurnSchedule:
         raise InternalContradictionError(
             f"constructed schedule burns by round {done}, not {claimed}"
         )
-    return BurnSchedule(g.ids_of(sources), claimed)
+    return sources, claimed
+
+
+def _cover_and_schedule(
+    g: SegmentGraph, segments, positions, radii, M: int
+) -> tuple[BudgetedCover, BurnSchedule]:
+    """The cover a construction built as columns, and its verified schedule.
+
+    Pair i is the radius radii[i] ball around the vertex at (segments[i],
+    positions[i]) (SegmentGraph.indices_at).  The centers are scheduled
+    as indices, in schedule_from_cover's order; the ids of the cover, in
+    construction order, and of the schedule come from one ids_of pass at
+    the end.  So BudgetedCover checks the cover in full (slack and
+    distinct pairs) after the schedule is built: a cover that fails it
+    raises there, if not already as a CoverageError.
+    """
+    idx = g.indices_at(segments, positions)
+    order = sorted(range(len(idx)), key=radii.__getitem__, reverse=True)
+    sources, claimed = _schedule_indices(g, [idx[i] for i in order], M)
+    ids = g.ids_of(np.array(idx + sources.tolist()))  # np.concatenate costs more on a few
+    k = len(idx)
+    return BudgetedCover(tuple(zip(ids[:k], radii)), M), BurnSchedule(ids[k:], claimed)
 
 
 class _KernelBurn:

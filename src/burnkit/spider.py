@@ -27,9 +27,13 @@ cover within budget a = ceil_sqrt(n):
   for the t in between, the residuals form a path forest whose greedy
   cover fits under a-1, so the greedy burner is delegated to.
 
-Every constructed cover is converted to a schedule and verified; a branch
-that failed its own applicability arithmetic raises
-InternalContradictionError rather than returning something unchecked.
+The constructions emit their balls as integer (segment, position, radius)
+triples, the head as HEAD_SEGMENT at position 0, never as vertex ids.
+Every constructed cover is converted to a schedule and verified
+(burning._cover_and_schedule, which takes the balls as columns and builds
+the ids once, at the end); a branch that failed its own applicability
+arithmetic raises InternalContradictionError rather than returning
+something unchecked, and so does a ball that falls outside the graph.
 """
 
 from __future__ import annotations
@@ -38,23 +42,24 @@ from heapq import heappop, heapreplace
 from itertools import repeat
 
 from .bounds import ub_floor
-from .burning import schedule_from_cover
+from .burning import _cover_and_schedule
 from .errors import InternalContradictionError
 from .greedy import _greedy_pairs
 from .model import (
-    HEAD,
+    HEAD_SEGMENT,
     BudgetedCover,
     BurnSchedule,
     PathForest,
     Spider,
-    VertexId,
-    arm_vertex,
     ceil_sqrt,
     check_order,
-    comp_vertex,
     path_forest_to_graph,
     spider_to_graph,
 )
+
+# A ball of the cover as (segment, position, radius): position counts as in
+# the vertex ids, and (HEAD_SEGMENT, 0) is the head (model.SegmentGraph.indices_at).
+Ball = tuple[int, int, int]
 
 
 def _path_pairs(order: int) -> list[tuple[int, int]]:
@@ -74,26 +79,21 @@ def _path_pairs(order: int) -> list[tuple[int, int]]:
 def burn_path(order: int) -> tuple[BudgetedCover, BurnSchedule]:
     """Cover and verified schedule burning a path in ceil_sqrt(order) rounds."""
     check_order(order)  # before any work of its order
-    pf = PathForest((order,))
-    pairs = tuple((comp_vertex(0, c), r) for c, r in _path_pairs(order))
-    cover = BudgetedCover(pairs, ceil_sqrt(order))
-    g = path_forest_to_graph(pf)
-    schedule = schedule_from_cover(g, cover)
-    return cover, schedule
+    positions, radii = zip(*_path_pairs(order))
+    g = path_forest_to_graph(PathForest((order,)))
+    return _cover_and_schedule(g, (0,) * len(radii), positions, radii, ceil_sqrt(order))
 
 
 def burn_spider(sp: Spider) -> tuple[BudgetedCover, BurnSchedule]:
     """Cover and verified schedule burning a spider in <= ceil_sqrt(n) rounds."""
     n = check_order(sp.n)  # before any work of its order
-    pairs = _spider_pairs(sp.arms, n)
-    cover = BudgetedCover(tuple(pairs), ceil_sqrt(n))
+    segments, positions, radii = zip(*_spider_pairs(sp.arms, n))
     g = spider_to_graph(sp)
-    schedule = schedule_from_cover(g, cover)
-    return cover, schedule
+    return _cover_and_schedule(g, segments, positions, radii, ceil_sqrt(n))
 
 
-def _spider_pairs(arms: tuple[int, ...], n: int) -> list[tuple[VertexId, int]]:
-    """Cover pairs for the spider of order n with arms sorted non-increasing.
+def _spider_pairs(arms: tuple[int, ...], n: int) -> list[Ball]:
+    """Cover balls for the spider of order n with arms sorted non-increasing.
 
     The radii always fit the budget ceil_sqrt(n): each branch either uses
     radii a-1, a-2, ... directly or splits off a radius a-1 ball and goes
@@ -108,7 +108,7 @@ def _spider_pairs(arms: tuple[int, ...], n: int) -> list[tuple[VertexId, int]]:
     splits cost O(m + s log m), and a spider that never splits builds
     nothing per arm.  The last phase reads at most a arms off the front.
     """
-    pairs: list[tuple[VertexId, int]] = []
+    pairs: list[Ball] = []
     alpha = ceil_sqrt(n)
     m = len(arms)
     # (length, input arm) in the remainder's order
@@ -118,7 +118,7 @@ def _spider_pairs(arms: tuple[int, ...], n: int) -> list[tuple[VertexId, int]]:
         tie = 0
         while True:
             neg, _, arm = heap[0]
-            pairs.append((arm_vertex(arm, -neg - (alpha - 1)), alpha - 1))
+            pairs.append((arm, -neg - (alpha - 1), alpha - 1))
             stub = -neg - (2 * alpha - 1)
             n -= 2 * alpha - 1
             if stub:
@@ -134,11 +134,11 @@ def _spider_pairs(arms: tuple[int, ...], n: int) -> list[tuple[VertexId, int]]:
                 first, second = -neg1, -neg2
                 for c, r in _path_pairs(first + 1 + second):
                     if c < first:
-                        pairs.append((arm_vertex(arm1, first - c), r))
+                        pairs.append((arm1, first - c, r))
                     elif c == first:
-                        pairs.append((HEAD, r))
+                        pairs.append((HEAD_SEGMENT, 0, r))
                     else:
-                        pairs.append((arm_vertex(arm2, c - first), r))
+                        pairs.append((arm2, c - first, r))
                 return pairs
             alpha = ceil_sqrt(n)
             if -heap[0][0] < 2 * alpha - 1:
@@ -154,18 +154,15 @@ def _spider_pairs(arms: tuple[int, ...], n: int) -> list[tuple[VertexId, int]]:
     if m == alpha - 1 and len(tails) == m and tails[0][0] == tails[-1][0] == alpha + 1:
         # n == alpha**2 exactly; the head ball cannot finish this shape
         arm0 = tails[0][1]
-        pairs.append((arm_vertex(arm0, 1), alpha - 1))
-        pairs += [
-            (arm_vertex(arm, alpha), alpha - 1 - i)
-            for i, (_, arm) in enumerate(tails[1:], start=1)
-        ]
-        pairs.append((arm_vertex(arm0, alpha + 1), 0))
+        pairs.append((arm0, 1, alpha - 1))
+        pairs += [(arm, alpha, alpha - 1 - i) for i, (_, arm) in enumerate(tails[1:], start=1)]
+        pairs.append((arm0, alpha + 1, 0))
     else:
         pairs += _head_ball(tails, alpha)
     return pairs
 
 
-def _head_ball(tails: list[tuple[int, int]], alpha: int) -> list[tuple[VertexId, int]]:
+def _head_ball(tails: list[tuple[int, int]], alpha: int) -> list[Ball]:
     """Head ball and residual balls for these (length, arm) tails, longest first."""
     residuals = [(length - (alpha - 1), i) for length, i in tails]
     t = len(residuals)
@@ -173,17 +170,17 @@ def _head_ball(tails: list[tuple[int, int]], alpha: int) -> list[tuple[VertexId,
         raise InternalContradictionError(
             f"{t} residual tails of length >= 1 contradict order <= {alpha}**2"
         )
-    pairs: list[tuple[VertexId, int]] = [(HEAD, alpha - 1)]
+    pairs: list[Ball] = [(HEAD_SEGMENT, 0, alpha - 1)]
     if t == 0:
         return pairs
 
-    def middle_ball(k: int, h: int, i: int) -> tuple[VertexId, int]:
+    def middle_ball(k: int, h: int, i: int) -> Ball:
         rho = alpha - 1 - k
         if 2 * rho + 1 < h:
             raise InternalContradictionError(
                 f"radius {rho} ball cannot cover a residual of length {h}"
             )
-        return (arm_vertex(i, alpha + (h - 1) // 2), rho)
+        return (i, alpha + (h - 1) // 2, rho)
 
     if 2 * t <= alpha or t == alpha - 1:
         for k, (h, i) in enumerate(residuals, start=1):
@@ -200,9 +197,9 @@ def _head_ball(tails: list[tuple[int, int]], alpha: int) -> list[tuple[VertexId,
         # h <= alpha-1 puts the residual ball's far end at tip-1 or beyond
         if ctr - rho > alpha or ctr + rho < tip - 1:
             raise InternalContradictionError("split tail left a gap uncovered")
-        pairs.append((arm_vertex(i, ctr), rho))
+        pairs.append((i, ctr, rho))
         if ctr + rho < tip:
-            pairs.append((arm_vertex(i, tip), 0))
+            pairs.append((i, tip, 0))
         return pairs
 
     # remaining range: floor(a/2 + 3/2) <= t <= a-2.  The residuals form a
@@ -212,9 +209,9 @@ def _head_ball(tails: list[tuple[int, int]], alpha: int) -> list[tuple[VertexId,
     forest = PathForest(tuple(h for h, _ in residuals))
     if ub_floor(forest) > alpha - 1:
         raise InternalContradictionError("residual forest too heavy to delegate")
-    delegated, _ = _greedy_pairs(forest)
-    if len(delegated) > alpha - 1:
+    comps, positions, radii, _ = _greedy_pairs(forest)
+    if len(radii) > alpha - 1:
         raise InternalContradictionError("greedy pair count exceeds the budget")
-    for v, r in delegated:
-        pairs.append((arm_vertex(residuals[v[1]][1], alpha + v[2]), r))
+    for c, p, r in zip(comps, positions, radii):
+        pairs.append((residuals[c][1], alpha + p, r))
     return pairs

@@ -1,10 +1,12 @@
-"""Pinned outputs of the spider and greedy burners on large seeded inputs.
+"""Pinned outputs of the spider, greedy and path burners on large seeded inputs.
 
 The sha256 of repr([(claimed_time, sources), ...]) was taken before the
-segment graphs were built from runs of equal lengths.  A change to how
-graphs, covers or schedules are constructed may make them faster but
-must not change a single output; when a change is meant to, the new
-digests belong in the same change, with the reason.
+segment graphs were built from runs of equal lengths; the digests of the
+covers (pairs and budget) and of the greedy steps as (r, action, center)
+were taken before the constructions handed vertex indices to the
+schedule.  A change to how graphs, covers or schedules are constructed
+may make them faster but must not change a single output; when a change
+is meant to, the new digests belong in the same change, with the reason.
 """
 
 import hashlib
@@ -14,7 +16,7 @@ import random
 from burnkit.gen import random_path_forest, random_spider
 from burnkit.greedy import greedy_burn
 from burnkit.model import HEAD
-from burnkit.spider import burn_spider
+from burnkit.spider import burn_path, burn_spider
 
 
 def digest(outputs) -> str:
@@ -33,21 +35,39 @@ def test_spider_outputs_are_pinned():
         spiders.append(random_spider(rng, n, rng.randint(3, math.isqrt(n))))
     rng = random.Random(20261020)
     spiders += [random_spider(rng, 100_000, rng.randint(2_000, 50_000)) for _ in range(4)]
-    outputs, first_centers = [], []
+    outputs, covers, first_centers = [], [], []
     for sp in spiders:
         cover, schedule = burn_spider(sp)
         outputs.append((schedule.claimed_time, schedule.sources))
+        covers.append((cover.pairs, cover.budget))
         first_centers.append(cover.pairs[0][0])
     assert [v == HEAD for v in first_centers] == [False] * 8 + [True] * 4
     assert digest(outputs) == "5bce90003fefacff70a6272a52e0b4954aa1ab062d9a649d6c3d3bea085f402d"
+    assert digest(covers) == "db235a39e3fe78967a7798ef04d76f9f529150d592f619cd16263b83fcb7361a"
 
 
 def test_greedy_outputs_are_pinned():
     # Forests of order 2e5 below, at and above t = isqrt(n) = 447, where
     # the greedy radius changes regime.
     rng = random.Random(20261020)
-    outputs = []
+    outputs, covers, steps = [], [], []
     for t in (5, 447, 2000):
-        _, schedule, _ = greedy_burn(random_path_forest(rng, 200_000, t))
+        cover, schedule, trace = greedy_burn(random_path_forest(rng, 200_000, t))
         outputs.append((schedule.claimed_time, schedule.sources))
+        covers.append((cover.pairs, cover.budget))
+        steps.append([(s.r, s.action, s.center) for s in trace.steps])
     assert digest(outputs) == "3bb78a78d9d4c3eed84322ed4bf1bd6036a9af19ae6109c60f2f997b666d140c"
+    assert digest(covers) == "ac60873b0c9e56bebd9dc97f55c5ffb1162bc93d327fcbdcf5cc63d902a07996"
+    assert digest(steps) == "aa87bc4aa433b7e239a326fdc35a88287f7373cd59ac3eb4100ca0dd1684cf98"
+
+
+def test_path_outputs_are_pinned():
+    # Seeded orders up to 1e6, then the orders around a square, where the
+    # tiling's last ball changes.
+    rng = random.Random(20261020)
+    orders = [rng.randrange(1, 1_000_000) for _ in range(6)] + [998_000, 998_001, 998_002]
+    outputs = []
+    for order in orders:
+        cover, schedule = burn_path(order)
+        outputs.append((cover.pairs, cover.budget, schedule.claimed_time, schedule.sources))
+    assert digest(outputs) == "ec350d22dd8c94a98f69f48bd013932e7c164bfb69953ad4e94fc397180dd4fd"

@@ -1,6 +1,7 @@
 """Greedy burner: radius rule, step mechanics, traces, budget fit."""
 
 import random
+from dataclasses import dataclass
 from math import isqrt
 
 import pytest
@@ -12,6 +13,7 @@ from burnkit import greedy
 from burnkit.burning import verify_schedule
 from burnkit.errors import InstanceError
 from burnkit.greedy import (
+    GreedyTrace,
     _greedy_pairs,
     greedy_budget,
     greedy_burn,
@@ -42,35 +44,43 @@ def test_radius_rejects_bad_parameters():
             greedy_radius(n, t)
 
 
+def run(pf):
+    """_greedy_pairs on pf: its (component, position, radius) balls, and the trace of its columns."""
+    trace = GreedyTrace(pf, *_greedy_pairs(pf))
+    return list(zip(trace.comps, trace.positions, trace.radii)), trace
+
+
 def test_step_trims_a_long_component():
-    pairs, trace = _greedy_pairs(PathForest((13, 11, 11)))
-    assert pairs[0] == (c(0, 7), 5)
+    balls, trace = run(PathForest((13, 11, 11)))
+    assert balls[0] == (0, 7, 5)
+    assert trace.whole[0] is False
     assert trace.steps[0].action == "remove-neighborhood"
     assert trace.forest_before(1) == PathForest((11, 11, 2))
 
 
 def test_step_removes_a_short_component():
-    pairs, trace = _greedy_pairs(PathForest((5,)))
-    assert pairs == [(c(0, 2), 2)]
+    balls, trace = run(PathForest((5,)))
+    assert balls == [(0, 2, 2)]
+    assert trace.whole == (True,)
     assert [s.action for s in trace.steps] == ["remove-component"]
 
 
 def test_step_on_a_path_of_four():
-    pairs, trace = _greedy_pairs(PathForest((4,)))
-    assert pairs[0] == (c(0, 2), 1)
+    balls, trace = run(PathForest((4,)))
+    assert balls[0] == (0, 2, 1)
     assert trace.forest_before(1) == PathForest((1,))
 
 
 def test_greedy_trace_on_the_two_regime_instance():
     pf = PathForest((13, 11, 11))
-    pairs, trace = _greedy_pairs(pf)
-    assert pairs == [
-        (c(0, 7), 5),
-        (c(1, 6), 4),
-        (c(2, 6), 4),
-        (c(0, 0), 3),
-        (c(1, 0), 2),
-        (c(2, 0), 1),
+    balls, trace = run(pf)
+    assert balls == [
+        (0, 7, 5),
+        (1, 6, 4),
+        (2, 6, 4),
+        (0, 0, 3),
+        (1, 0, 2),
+        (2, 0, 1),
     ]
     assert [trace.forest_before(i).orders for i in range(len(trace.steps))] == [
         (13, 11, 11),
@@ -89,15 +99,20 @@ def test_greedy_trace_on_the_two_regime_instance():
         "remove-component",
     ]
     assert [s.r for s in trace.steps] == [5, 4, 4, 3, 2, 1]
+    assert [s.center for s in trace.steps] == [c(comp, pos) for comp, pos, _ in balls]
     for i in (-1, 6):
         with pytest.raises(IndexError):
             trace.forest_before(i)
+    # traces compare by forest and columns, whether or not steps was read
+    assert trace == run(pf)[1]
+    assert hash(trace) == hash(run(pf)[1])
+    assert trace != run(PathForest((13, 11, 10)))[1]
 
 
 def test_ties_among_largest_go_to_the_lowest_index():
-    pairs, _ = _greedy_pairs(PathForest((6, 6)))
-    assert pairs[0] == (c(0, 2), 3)
-    assert pairs[1:] == [(c(1, 3), 2), (c(1, 0), 0)]
+    balls, _ = run(PathForest((6, 6)))
+    assert balls[0] == (0, 2, 3)
+    assert balls[1:] == [(1, 3, 2), (1, 0, 0)]
 
 
 def test_first_pair_matches_single_step():
@@ -106,22 +121,22 @@ def test_first_pair_matches_single_step():
     # at distance r from its high end.
     for orders in ((13, 11, 11), (16,), (6, 6), (1, 1, 1), (9, 4)):
         pf = PathForest(orders)
-        pairs, trace = _greedy_pairs(pf)
+        balls, trace = run(pf)
         r = greedy_radius(pf.n, pf.t)
         a = pf.orders[0]
-        center = c(0, (a - 1) // 2) if a // 2 <= r else c(0, a - 1 - r)
-        assert pairs[0] == (center, r)
+        pos = (a - 1) // 2 if a // 2 <= r else a - 1 - r
+        assert balls[0] == (0, pos, r)
         assert trace.forest_before(0) == pf
 
 
 def reference_greedy(pf):
     """The greedy loop as the module docstring states it, one sort per step.
 
-    Returns the pairs, each step's (r, action, center) and the remaining
-    forest each step acted on.
+    Returns the (component, position, radius) balls, each step's
+    (r, action, center) and the remaining forest each step acted on.
     """
     live = [[comp, a] for comp, a in enumerate(pf.orders)]
-    pairs, steps, before = [], [], []
+    balls, steps, before = [], [], []
     while live:
         n = sum(a for _, a in live)
         t = len(live)
@@ -130,25 +145,26 @@ def reference_greedy(pf):
         before.append(PathForest(tuple(a for _, a in live)))
         comp, a = live[0]
         if a // 2 <= r:
-            center, action = c(comp, (a - 1) // 2), "remove-component"
+            pos, action = (a - 1) // 2, "remove-component"
             live.pop(0)
         else:
-            center, action = c(comp, a - 1 - r), "remove-neighborhood"
+            pos, action = a - 1 - r, "remove-neighborhood"
             live[0][1] = a - (2 * r + 1)
-        pairs.append((center, r))
-        steps.append((r, action, center))
-    return pairs, steps, before
+        balls.append((comp, pos, r))
+        steps.append((r, action, c(comp, pos)))
+    return balls, steps, before
 
 
 def assert_matches_reference(pf, rng=None):
-    """Compare _greedy_pairs with the reference.
+    """Compare _greedy_pairs' columns, and the steps built from them, with the reference.
 
     forest_before is checked at every step or, given an rng, at the first,
     the last and three random steps, since each replay costs O(i).
     """
-    pairs, trace = _greedy_pairs(pf)
-    ref_pairs, ref_steps, ref_before = reference_greedy(pf)
-    assert pairs == ref_pairs, pf
+    balls, trace = run(pf)
+    ref_balls, ref_steps, ref_before = reference_greedy(pf)
+    assert balls == ref_balls, pf
+    assert [action == "remove-component" for _, action, _ in ref_steps] == list(trace.whole), pf
     assert [(s.r, s.action, s.center) for s in trace.steps] == ref_steps, pf
     assert trace.forest == pf
     last = len(ref_steps) - 1
@@ -187,6 +203,34 @@ def test_heap_loop_matches_the_reference_on_random_forests():
             ties += f.t > 1 and f.orders[0] == f.orders[1]
     # 25,156 steps: 22,196 crowded, 2,960 sparse, 17,261 among tied orders.
     assert crowded > 20000 and sparse > 2000 and ties > 15000
+
+
+def test_trace_builds_no_step_until_steps_is_read(monkeypatch):
+    # A counting stand-in for GreedyStep: greedy_burn on an order-2e5
+    # forest, and forest_before at sampled steps, construct none of them;
+    # the first read of steps builds one per step, the same as the
+    # reference, and a second read builds nothing more.
+    built = []
+
+    @dataclass(frozen=True)
+    class CountingStep(greedy.GreedyStep):
+        def __post_init__(self):
+            built.append(self)
+
+    monkeypatch.setattr(greedy, "GreedyStep", CountingStep)
+    pf = random_path_forest(random.Random(19), 200_000, 600)
+    _, ref_steps, ref_before = reference_greedy(pf)
+    cover, _, trace = greedy_burn(pf)
+    assert len(cover.pairs) == len(ref_steps) > 600
+    rng = random.Random(20)
+    for i in {0, len(ref_steps) - 1, *(rng.randrange(len(ref_steps)) for _ in range(20))}:
+        assert trace.forest_before(i) == ref_before[i], i
+    assert built == []
+    steps = trace.steps
+    assert len(built) == len(ref_steps)
+    assert all(type(step) is CountingStep for step in steps)
+    assert [(s.r, s.action, s.center) for s in steps] == ref_steps
+    assert trace.steps is steps and len(built) == len(ref_steps)
 
 
 def test_burn_with_twenty_thousand_components():

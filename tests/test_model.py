@@ -23,9 +23,11 @@ from burnkit import (
     path_forest_to_graph,
     spider_to_graph,
 )
+from burnkit import spider
 from burnkit.burning import _CLOSED_FORM_MIN_ORDER
+from burnkit.errors import InternalContradictionError
 from burnkit.gen import random_path_forest, random_spider
-from burnkit.model import MAX_ORDER, SegmentGraph
+from burnkit.model import HEAD_SEGMENT, MAX_ORDER, SegmentGraph
 
 
 def test_ceil_sqrt_small():
@@ -219,6 +221,56 @@ def test_arithmetic_lookup_agrees_with_a_dict_over_the_ids():
             else:
                 with pytest.raises(InstanceError):
                     g.indices_of([v])
+
+
+# (segment, position) pairs just outside the graph, as the constructions
+# hand them to indices_at; plain arithmetic would map most of them to a
+# neighbouring or wrapped index.  HEAD_SEGMENT is -1.
+SPIDER_BAD_BALLS = [  # arms (3, 2, 1), positions 1-based
+    (0, 4),  # position past the arm's length: the start of arm 1
+    (1, 0),  # position 0 of an arm: the end of arm 0
+    (0, -1),  # negative position
+    (2, 2),  # past the last arm: one beyond the final index
+    (3, 1),  # segment index == m
+    (-2, 1),
+    (HEAD_SEGMENT, 1),  # the head has position 0 only
+    (HEAD_SEGMENT, -1),
+]
+
+FOREST_BAD_BALLS = [  # components (4, 2, 1), positions 0-based
+    (0, 4),  # position == length: the first vertex of component 1
+    (1, 2),
+    (1, -1),  # negative position: the end of component 0
+    (2, 1),  # past the last component
+    (3, 0),  # segment index == t
+    (-2, 0),
+    (HEAD_SEGMENT, 0),  # a path forest has no head
+]
+
+
+def test_indices_at_refuses_positions_outside_the_graph():
+    for g, bad in (
+        (spider_to_graph(Spider((3, 2, 1))), SPIDER_BAD_BALLS),
+        (path_forest_to_graph(PathForest((4, 2, 1))), FOREST_BAD_BALLS),
+    ):
+        # every vertex converts as its id does, the head included
+        good = [(HEAD_SEGMENT, 0) if v == HEAD else v[1:] for v in g.vertices]
+        segments, positions = zip(*good)
+        assert g.indices_at(segments, positions) == list(range(g.order))
+        for ball in bad:
+            with pytest.raises(InternalContradictionError, match=re.escape(str(ball))):
+                g.indices_at(*zip(*good, ball))
+
+
+def test_constructions_surface_a_ball_outside_the_graph(monkeypatch):
+    # A construction that hands over a ball off its graph fails loudly,
+    # before any schedule is built from it.
+    monkeypatch.setattr(spider, "_spider_pairs", lambda arms, n: [(HEAD_SEGMENT, 0, 2), (0, 4, 1)])
+    with pytest.raises(InternalContradictionError, match=re.escape("(0, 4)")):
+        spider.burn_spider(Spider((3, 2, 1)))
+    monkeypatch.setattr(spider, "_path_pairs", lambda order: [(1, 1), (order, 0)])
+    with pytest.raises(InternalContradictionError, match=re.escape("(0, 4)")):
+        spider.burn_path(4)
 
 
 def test_segment_vertices_behave_like_the_id_tuple():

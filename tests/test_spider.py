@@ -12,6 +12,7 @@ from burnkit.errors import InstanceError
 from burnkit.gen import random_spider
 from burnkit.model import (
     HEAD,
+    HEAD_SEGMENT as H,
     MAX_ORDER,
     Spider,
     arm_vertex,
@@ -71,51 +72,57 @@ def test_burn_path_meets_ceil_sqrt_everywhere():
 
 
 def pairs_of(arms):
+    """_spider_pairs' (segment, position, radius) balls; (H, 0) is the head."""
     return _spider_pairs(arms, 1 + sum(arms))
+
+
+def ids_of(balls):
+    """The (vertex id, radius) pairs of these balls."""
+    return [(HEAD if s == H else a(s, p), r) for s, p, r in balls]
 
 
 def test_reduce_long_arm_chain():
     # (20, 1, 1) at a = 5 loses the tip 12..20 of arm 0, which leaves the
     # spider (11, 1, 1); at a = 4 that loses 5..11 and leaves (4, 1, 1).
     # The stub stays arm 0 each time, so the remainders' pairs carry over.
-    assert pairs_of((20, 1, 1))[0] == (a(0, 16), 4)
+    assert pairs_of((20, 1, 1))[0] == (0, 16, 4)
     assert pairs_of((20, 1, 1))[1:] == pairs_of((11, 1, 1))
-    assert pairs_of((11, 1, 1))[0] == (a(0, 8), 3)
+    assert pairs_of((11, 1, 1))[0] == (0, 8, 3)
     assert pairs_of((11, 1, 1))[1:] == pairs_of((4, 1, 1))
-    assert pairs_of((4, 1, 1)) == [(HEAD, 2), (a(0, 3), 1)]
+    assert pairs_of((4, 1, 1)) == [(H, 0, 2), (0, 3, 1)]
 
 
 def test_reduce_long_arm_renumbers_survivors():
     # The stub of arm 0 sorts after the two arms of length 8, so it becomes
     # arm 2 of the remainder, and the cover maps it back to arm 0.
     rest = pairs_of((8, 8, 7))
-    assert rest == [(HEAD, 4), (a(0, 6), 3), (a(1, 6), 2), (a(2, 6), 1)]
+    assert rest == [(H, 0, 4), (0, 6, 3), (1, 6, 2), (2, 6, 1)]
     # remainder arms 0, 1, 2 are input arms 1, 2, 0
     assert pairs_of((20, 8, 8)) == [
-        (a(0, 14), 6),
-        (HEAD, 4),
-        (a(1, 6), 3),
-        (a(2, 6), 2),
-        (a(0, 6), 1),
+        (0, 14, 6),
+        (H, 0, 4),
+        (1, 6, 3),
+        (2, 6, 2),
+        (0, 6, 1),
     ]
     # A stub as long as untouched arms goes first among them: (18, 7, 7)
     # leaves three arms of 7, which keep the input order.
-    assert pairs_of((18, 7, 7)) == [(a(0, 13), 5)] + pairs_of((7, 7, 7))
+    assert pairs_of((18, 7, 7)) == [(0, 13, 5)] + pairs_of((7, 7, 7))
 
 
 def test_reduce_to_a_path_through_the_head():
     # Longest arm exactly 2a-1 and three arms total: after the trim only two
     # arms and the head survive, which is a single path, tiled from arm 1's
     # leaf through the head to arm 2's leaf.
-    assert pairs_of((7, 2, 2)) == [(a(0, 4), 3), (HEAD, 2)]
+    assert pairs_of((7, 2, 2)) == [(0, 4, 3), (H, 0, 2)]
     assert _path_pairs(3 + 1 + 2) == [(2, 2), (4, 1)]
-    assert pairs_of((7, 3, 2)) == [(a(0, 4), 3), (a(1, 1), 2), (a(2, 1), 1)]
+    assert pairs_of((7, 3, 2)) == [(0, 4, 3), (1, 1, 2), (2, 1, 1)]
 
 
 def test_reduce_refuses_short_arms():
     # a = 6: an arm of 2a-1 = 11 is split, one of 10 is not.
-    assert pairs_of((11, 10, 10))[0] == (a(0, 6), 5)
-    assert pairs_of((10, 10, 10))[0] == (HEAD, 5)
+    assert pairs_of((11, 10, 10))[0] == (0, 6, 5)
+    assert pairs_of((10, 10, 10))[0] == (H, 0, 5)
 
 
 def test_small_spiders_burn_without_an_exact_search(monkeypatch):
@@ -235,8 +242,8 @@ def reference_spider_pairs(arms):
     live lists the remainder's arms as (length, input arm), in order.  Once
     no arm is long enough to split, the remainder is burned as a spider of
     its own, which takes no split, and its arms are mapped back.  Returns
-    the pairs and the number of splits whose stub is as long as another
-    arm of the remainder.
+    the (segment, position, radius) balls and the number of splits whose
+    stub is as long as another arm of the remainder.
     """
     live = list(zip(arms, range(len(arms))))
     pairs, ties = [], 0
@@ -246,9 +253,9 @@ def reference_spider_pairs(arms):
         length, arm = live[0]
         if length < 2 * alpha - 1:
             rest = _spider_pairs(tuple(length for length, _ in live), n)
-            pairs += [(v if v == HEAD else a(live[v[1]][1], v[2]), r) for v, r in rest]
+            pairs += [(s if s == H else live[s][1], p, r) for s, p, r in rest]
             return pairs, ties
-        pairs.append((a(arm, length - (alpha - 1)), alpha - 1))
+        pairs.append((arm, length - (alpha - 1), alpha - 1))
         stub = length - (2 * alpha - 1)
         # survivors keep their index; the stub takes the split arm's index 0
         ranked = [(length, j, arm) for j, (length, arm) in enumerate(live) if j]
@@ -261,24 +268,24 @@ def reference_spider_pairs(arms):
             (first, arm1), (second, arm2) = live
             for c, r in _path_pairs(first + 1 + second):
                 if c < first:
-                    pairs.append((a(arm1, first - c), r))
+                    pairs.append((arm1, first - c, r))
                 elif c == first:
-                    pairs.append((HEAD, r))
+                    pairs.append((H, 0, r))
                 else:
-                    pairs.append((a(arm2, c - first), r))
+                    pairs.append((arm2, c - first, r))
             return pairs, ties
 
 
 def test_every_small_spider_burns_within_ceil_sqrt():
-    # Each spider that takes a split also checks its pairs against the
-    # re-sorting reference loop.
+    # Each spider that takes a split also checks its cover, pair by pair in
+    # ids, against the re-sorting reference loop.
     count = splits = ties = 0
     for arms in spider_arm_sets(34):
         cover, _ = check_spider(arms)
         count += 1
         if arms[0] >= 2 * ceil_sqrt(1 + sum(arms)) - 1:
             ref, tied = reference_spider_pairs(arms)
-            assert list(cover.pairs) == ref, arms
+            assert list(cover.pairs) == ids_of(ref), arms
             splits += 1
             ties += tied
     # 19,246 spiders split; 8,431 of their splits leave a stub as long as
