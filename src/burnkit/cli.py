@@ -85,17 +85,23 @@ def _load_graph(path: str) -> LabeledGraph:
         raise InstanceError(f"cannot read graph file: {exc}") from None
     index: dict[str, int] = {}
     ends: list[int] = []
+    # one pass in file order, so the first faulty line is the one reported;
+    # no list or comprehension per line beyond the tokens themselves
+    add, number = ends.append, index.setdefault
     for lineno, line in enumerate(text.splitlines(), start=1):
-        toks = line.split("#", 1)[0].split()
-        if len(toks) > 2:
+        toks = (line.split("#", 1)[0] if "#" in line else line).split()
+        if len(toks) == 2:
+            u, v = toks
+            if u == v:
+                raise InstanceError(f"{path}:{lineno}: self loop on {u!r}")
+            add(number(u, len(index)))
+            add(number(v, len(index)))
+        elif len(toks) == 1:
+            number(toks[0], len(index))
+        elif toks:
             raise InstanceError(
                 f"{path}:{lineno}: expected 'u v' or a lone vertex, got {len(toks)} tokens"
             )
-        ids = [index.setdefault(t, len(index)) for t in toks]
-        if len(ids) == 2:
-            if ids[0] == ids[1]:
-                raise InstanceError(f"{path}:{lineno}: self loop on {toks[0]!r}")
-            ends += ids
     if not index:
         raise InstanceError(f"{path}: no vertices")
     edges = np.array(ends, dtype=np.int64).reshape(-1, 2)

@@ -64,14 +64,32 @@ def _check_range(lowest: int, highest: int, n: int) -> None:
         raise InstanceError(f"source index out of range for {n} vertices")
 
 
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The distinct entries of a 1-D integer array, ascending: np.unique's result.
+
+    One sort and a mask of the entries unequal to their left neighbour.
+    Since numpy 2.3 np.unique finds integers through a hash table and then
+    sorts what it found, which on an edge-list graph's arc codes costs many
+    times this one sort; the numpy 1.24 floor sorts, as here.  Every
+    deduplication in burnkit goes through this helper, so it costs the same
+    on every supported numpy.
+    """
+    out = np.sort(values)
+    keep = np.empty(out.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(out[1:], out[:-1], out=keep[1:])
+    return out[keep]
+
+
 def burn_times_csr(indptr, indices, sources) -> np.ndarray:
     """First-burn rounds on the CSR graph (indptr, indices).
 
     Round t first spreads fire from every vertex burned at round t-1, then
     ignites sources[t-1] if it exists and is still unburned.  Returns an
-    int32 array of first-burn rounds, -1 for never burned.  Lists are used
-    as given, so a caller burning one graph many times converts its arrays
-    once.
+    int32 array of first-burn rounds, -1 for never burned.  The BFS runs on
+    Python lists, reading each burning vertex's row as one slice of
+    indices; numpy arrays are converted first, and lists are used as given,
+    so a caller burning one graph many times converts its arrays once.
     """
     ip = indptr.tolist() if isinstance(indptr, np.ndarray) else indptr
     idx = indices.tolist() if isinstance(indices, np.ndarray) else indices
@@ -87,8 +105,7 @@ def burn_times_csr(indptr, indices, sources) -> np.ndarray:
         t += 1
         nxt: list[int] = []
         for u in cur:
-            for i in range(ip[u], ip[u + 1]):
-                v = idx[i]
+            for v in idx[ip[u]:ip[u + 1]]:
                 if times[v] < 0:
                     times[v] = t
                     nxt.append(v)
@@ -200,7 +217,7 @@ def burn_times_segments(lengths, hub: bool, sources, offsets, depth) -> np.ndarr
     n, inf, at_seg, at_pos, at_round, head = _place_sources(lengths, hub, sources, offsets)
     if not at_round.size and head == inf:  # no source
         return np.full(n, -1, dtype=np.int32)
-    touched = np.unique(at_seg)
+    touched = sorted_unique(at_seg)
     rank = touched.searchsorted(at_seg)
     every = touched.size == len(lengths)
     lens = lengths if every else lengths[touched]
@@ -254,7 +271,7 @@ class SegmentBurn:
 
     def __init__(self, lengths, hub: bool, sources, offsets):
         n, inf, seg, pos, rounds, head = _place_sources(lengths, hub, sources, offsets)
-        touched = np.unique(seg)
+        touched = sorted_unique(seg)
         rank = np.arange(touched.size)
         # each point's key is its position plus its segment's rank times a
         # spacing above any round plus any position, so the sweep restarts

@@ -32,11 +32,11 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
 from math import isqrt
-from operator import index as _as_index, neg
+from operator import gt, index as _as_index, neg
 
 import numpy as np
 
-from .engine import arm_depth
+from .engine import arm_depth, sorted_unique
 from .errors import BudgetError, InstanceError, InternalContradictionError
 
 VertexId = tuple
@@ -411,8 +411,11 @@ class LabeledGraph:
     orientation, collapse to one; self loops and indices outside [0, n) are
     rejected.  The graph keeps its ids in a tuple, looks indices up in a
     dict and keeps its adjacency as CSR int32 arrays with every row sorted.
-    `canonical_prefix` and `first_canonical` read the ids sorted once, on
-    the first call, and kept.
+    The build codes each edge as its two arcs, u * n + v and v * n + u, and
+    one sort of the codes with their repeats dropped (engine.sorted_unique)
+    gives the CSR entries in order.  `canonical_prefix` and
+    `first_canonical` read the ids sorted once, on the first call, and
+    kept.
     """
 
     __slots__ = ("vertices", "_indptr", "_indices", "_index", "_canon")
@@ -438,9 +441,10 @@ class LabeledGraph:
         loops = np.flatnonzero(u == v)
         if loops.size:
             raise InstanceError(f"self-loop at {vertices[u[loops[0]]]!r}")
-        # one code per directed arc, so the unique codes are the CSR entries
-        # in row-major order: rows by source, each row sorted by target
-        arcs = np.unique(np.concatenate([u * n + v, v * n + u]))
+        # one code per directed arc: sorted and with repeated edges dropped,
+        # the codes are the CSR entries in row-major order, rows by source,
+        # each row sorted by target
+        arcs = sorted_unique(np.concatenate([u * n + v, v * n + u]))
         indptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(np.bincount(arcs // n, minlength=n), out=indptr[1:])
         self.vertices = vertices
@@ -562,14 +566,17 @@ class BudgetedCover:
             raise InstanceError("a cover needs at least one pair")
         if len(set(pairs)) != len(pairs):
             raise BudgetError("cover pairs must be distinct")
-        if any(r < 0 for _, r in pairs):
+        radii = sorted([r for _, r in pairs], reverse=True)
+        if radii[-1] < 0:
             raise BudgetError("radii must be non-negative")
-        if self.budget < 1:
+        budget = self.budget
+        if budget < 1:
             raise BudgetError("budget must be >= 1")
-        radii = sorted((r for _, r in pairs), reverse=True)
-        for i, r in enumerate(radii, start=1):
-            if r > self.budget - i:
-                raise BudgetError(
-                    f"radius {r} at sorted position {i} exceeds budget slack "
-                    f"{self.budget} - {i}"
-                )
+        # r_(i) <= M - i at every sorted position i, as one pass in C; the
+        # first position that fails is looked for only when one does
+        if any(map(gt, radii, range(budget - 1, budget - 1 - len(radii), -1))):
+            i, r = next((i, r) for i, r in enumerate(radii, start=1) if r > budget - i)
+            raise BudgetError(
+                f"radius {r} at sorted position {i} exceeds budget slack "
+                f"{budget} - {i}"
+            )

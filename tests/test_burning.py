@@ -151,6 +151,23 @@ def test_budget_slack_is_enforced():
         BudgetedCover((), 3)
 
 
+def test_budget_slack_reports_the_first_sorted_position_that_fails():
+    # Sorted radii 3, 3, 2, 2 against budget 4: slack 3, 2, 1, 0, so
+    # positions 2, 3 and 4 all exceed it, and the message names position 2;
+    # against budget 5 only the last one does.
+    pairs = ((c(0, 0), 2), (c(0, 1), 3), (c(0, 2), 2), (c(0, 3), 3))
+    with pytest.raises(BudgetError) as info:
+        BudgetedCover(pairs, 4)
+    assert str(info.value) == "radius 3 at sorted position 2 exceeds budget slack 4 - 2"
+    with pytest.raises(BudgetError) as info:
+        BudgetedCover(pairs, 5)
+    assert str(info.value) == "radius 2 at sorted position 4 exceeds budget slack 5 - 4"
+    assert BudgetedCover(pairs, 6).pairs == pairs
+    with pytest.raises(BudgetError) as info:
+        BudgetedCover(((c(0, 0), 0), (c(0, 1), 0)), 1)
+    assert str(info.value) == "radius 0 at sorted position 2 exceeds budget slack 1 - 2"
+
+
 def test_radii_budgets_and_claims_must_be_integers():
     # Neither truncated nor parsed: 1.7 is no radius 1, "1" no radius.
     for radius in (1.7, 1.0, "1", None):

@@ -176,26 +176,64 @@ def random_edge_list(rng):
     return "\n".join(lines) + rng.choice(["", "\n"])
 
 
+def assert_loads_as_reference(target, text):
+    """_load_graph(target), whose bytes are text in UTF-8, gives the
+    reference_graph of text: the same ids, indptr and indices."""
+    target.write_bytes(text.encode("utf-8"))
+    vertices, indptr, indices = reference_graph(text)
+    if not vertices:
+        with pytest.raises(InstanceError, match="no vertices"):
+            _load_graph(str(target))
+        return
+    g = _load_graph(str(target))
+    got_indptr, got_indices = g.csr()
+    assert g.vertices == vertices, text
+    assert got_indptr.dtype == np.int32 and got_indices.dtype == np.int32
+    assert got_indptr.tolist() == indptr, text
+    assert got_indices.tolist() == indices, text
+    for i in range(g.order):
+        row = got_indices[got_indptr[i]:got_indptr[i + 1]]
+        assert np.all(np.diff(row) > 0), text
+
+
 def test_graph_file_build_matches_a_set_based_reference(tmp_path):
     rng = random.Random(20261018)
     target = tmp_path / "g.txt"
     for _ in range(250):
-        text = random_edge_list(rng)
-        target.write_text(text)
-        vertices, indptr, indices = reference_graph(text)
-        if not vertices:
-            with pytest.raises(InstanceError, match="no vertices"):
-                _load_graph(str(target))
-            continue
-        g = _load_graph(str(target))
-        got_indptr, got_indices = g.csr()
-        assert g.vertices == vertices, text
-        assert got_indptr.dtype == np.int32 and got_indices.dtype == np.int32
-        assert got_indptr.tolist() == indptr, text
-        assert got_indices.tolist() == indices, text
-        for i in range(g.order):
-            row = got_indices[got_indptr[i]:got_indptr[i + 1]]
-            assert np.all(np.diff(row) > 0), text
+        assert_loads_as_reference(target, random_edge_list(rng))
+
+
+def test_graph_file_edge_cases_match_the_reference(tmp_path):
+    target = tmp_path / "g.txt"
+    # a '#' glued to a token ends the line there: 'a' is a lone vertex
+    assert_loads_as_reference(target, "a#b c\nb c\nc d#\nd#a\n")
+    # a lone token keeps the number of its first appearance in a later edge
+    assert_loads_as_reference(target, "z\na b\nb z\ny\n# y a\nz a\n")
+    # every line break str.splitlines knows ends a line: \r\n, a bare \r, \f
+    for sep in ("\r\n", "\r", "\f"):
+        lines = ["a b", "# c d", "b\tc  # tail", "", "d", "c a", "a b", "e"]
+        assert_loads_as_reference(target, sep.join(lines) + sep)
+        assert_loads_as_reference(target, sep.join(lines))
+
+
+def test_graph_file_reports_the_first_faulty_line(capsys, tmp_path):
+    # The file is read once, in order, so of a self loop and a 3-token line
+    # the first one is reported, with its path and line, whichever it is;
+    # line numbers count every line break, \r, \r\n and \f included.
+    target = tmp_path / "bad.txt"
+    loop = "self loop on 'x'"
+    wide = "expected 'u v' or a lone vertex, got 3 tokens"
+    for lines, lineno, what in (
+        (["a b", "x x", "c d e"], 2, loop),
+        (["a b", "c d e", "x x"], 2, wide),
+        (["a b", "", "x  x # c", "c d e"], 3, loop),
+        (["a b # c d e", "u v w#", "x x"], 2, wide),
+    ):
+        for sep in ("\n", "\r\n", "\r", "\f"):
+            target.write_bytes(sep.join(lines).encode("utf-8"))
+            for argv in (["exact", "graph"], ["verify", "graph", "--schedule", "a"]):
+                code, out, err = run(capsys, *argv, str(target))
+                assert (code, out, err) == (2, "", f"burnkit: {target}:{lineno}: {what}\n")
 
 
 def test_verify_accepts_a_good_schedule(capsys):

@@ -394,6 +394,31 @@ def test_csr_kernel_matches_the_distance_formula_on_random_graphs():
         assert got.tolist() == expected, (n, sorted(edges), sources)
 
 
+def test_sorted_unique_is_np_unique():
+    # The one deduplication the kernels and the edge-list build use, against
+    # np.unique, which numpy 1.24 computes by sorting and numpy 2.3 and later
+    # through a hash table: same values, same dtype, a fresh array.
+    rng = np.random.default_rng(20261020)
+    cases = [
+        np.empty(0, dtype=np.int64),
+        np.array([7], dtype=np.int32),
+        np.full(9, -3, dtype=np.intp),
+        np.arange(-5, 20, dtype=np.int64),
+        np.arange(30, dtype=np.int32)[::-1],
+        np.repeat(np.arange(12, dtype=np.intp), 3)[::-1],
+    ]
+    for dtype in (np.int32, np.int64, np.intp):
+        for size in (2, 17, 1000, 40_000):
+            cases.append(rng.integers(-size, size, size=size, dtype=dtype))
+            cases.append(rng.integers(0, 4, size=size, dtype=dtype))
+    for values in cases:
+        before = values.copy()
+        got = engine.sorted_unique(values)
+        want = np.unique(values)
+        assert got.dtype == want.dtype and np.array_equal(got, want), values
+        assert np.array_equal(values, before) and not np.shares_memory(got, values)
+
+
 def test_engine_exports_a_kernel():
     assert engine.KERNEL_NAME == "python"
     assert csr(path(2), [0]).tolist() == [1, 2]
