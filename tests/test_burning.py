@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import neighbors, partitions, spider_arm_sets
-from burnkit import burning, model
+from burnkit import burning, engine, model
 from burnkit.burning import (
     completion,
     cover_from_schedule,
@@ -118,10 +118,11 @@ def test_cover_from_schedule_rejects_false_claims():
 
 
 def count_burns(monkeypatch):
-    """A list that grows by one for every burning._times_raw call."""
+    """A list that grows by one for every run of either burn kernel."""
     calls = []
-    real = burning._times_raw
-    monkeypatch.setattr(burning, "_times_raw", lambda *a: calls.append(1) or real(*a))
+    for name in ("burn_times_csr", "burn_times_segments"):
+        real = getattr(engine, name)
+        monkeypatch.setattr(engine, name, lambda *a, real=real: calls.append(1) or real(*a))
     return calls
 
 
@@ -580,9 +581,16 @@ def test_arithmetic_fillers_and_replacements_match_the_sorted_ids(monkeypatch):
         canon = sorted(range(n), key=g.vertices.__getitem__)
         assert all(g.canonical_prefix(M) == canon[:M] for M in range(n + 3))
         for _ in range(3):
+            # seeded sources, ignited in index order: the BFS's burn state
+            # names the first unburned vertex after every round as the ids
+            # sorted do, under a vertex's round min_i (i + d(s_i, v))
             mask = np.array([rng.random() < 0.3 for _ in range(n)])
             mask[rng.randrange(n)] = True
-            assert g.first_canonical(mask) == next(v for v in canon if mask[v])
+            sources = np.flatnonzero(mask).tolist()
+            rounds = [min(i + dist[s][v] for i, s in enumerate(sources, 1)) for v in range(n)]
+            state = burning._KernelBurn(g, sources)
+            for L in range(min(max(rounds), n + 1)):
+                assert state.first_unburned(L) == next(v for v in canon if rounds[v] > L)
             k = rng.randint(1, min(n, 5))
             centers = [rng.randrange(n) for _ in range(k)]
             M = k + rng.randint(0, n)

@@ -271,6 +271,19 @@ def test_verify_graph_kind(capsys, tmp_path):
     assert payload["verified"] is True
 
 
+@pytest.mark.parametrize(
+    "kind, spec, source",
+    [("pf", ["4"], "0:4"), ("spider", ["3", "2", "1"], "a:0:0"), ("graph", None, "zz")],
+)
+def test_verify_names_an_unknown_source_as_written(capsys, tmp_path, kind, spec, source):
+    if spec is None:
+        spec = [str(tmp_path / "p3.txt")]
+        (tmp_path / "p3.txt").write_text("a b\nb c\n")
+    code, out, err = run(capsys, "verify", kind, *spec, "--schedule", source)
+    assert (code, out) == (2, "")
+    assert err == f"burnkit: {source!r} is not a vertex of this graph\n"
+
+
 def test_verify_duplicate_sources_is_usage_error(capsys):
     code, _, err = run(capsys, "verify", "pf", "4", "--schedule", "0:1,0:1")
     assert code == 2 and "distinct" in err

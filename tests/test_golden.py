@@ -1,21 +1,26 @@
-"""Pinned outputs of the spider, greedy and path burners on large seeded inputs.
+"""Pinned outputs of the spider, greedy and path burners.
 
-The sha256 of repr([(claimed_time, sources), ...]) was taken before the
-segment graphs were built from runs of equal lengths; the digests of the
-covers (pairs and budget) and of the greedy steps as (r, action, center)
-were taken before the constructions handed vertex indices to the
-schedule.  A change to how graphs, covers or schedules are constructed
-may make them faster but must not change a single output; when a change
-is meant to, the new digests belong in the same change, with the reason.
+On large seeded inputs, which burn through the closed form, the sha256 of
+repr([(claimed_time, sources), ...]) was taken before the segment graphs
+were built from runs of equal lengths; the digests of the covers (pairs
+and budget) and of the greedy steps as (r, action, center) were taken
+before the constructions handed vertex indices to the schedule.  On every
+small spider and path forest, which take the breadth-first kernel and its
+burn state, both digests were taken before that state read the kernel's
+rounds itself rather than through the graph.  A change to how graphs,
+covers or schedules are constructed may make them faster but must not
+change a single output; when a change is meant to, the new digests belong
+in the same change, with the reason.
 """
 
 import hashlib
 import math
 import random
 
+from conftest import partitions, spider_arm_sets
 from burnkit.gen import random_path_forest, random_spider
 from burnkit.greedy import greedy_burn
-from burnkit.model import HEAD
+from burnkit.model import HEAD, PathForest, Spider
 from burnkit.spider import burn_path, burn_spider
 
 
@@ -71,3 +76,21 @@ def test_path_outputs_are_pinned():
         cover, schedule = burn_path(order)
         outputs.append((cover.pairs, cover.budget, schedule.claimed_time, schedule.sources))
     assert digest(outputs) == "ec350d22dd8c94a98f69f48bd013932e7c164bfb69953ad4e94fc397180dd4fd"
+
+
+def test_small_route_outputs_are_pinned():
+    # Every spider of order <= 22 and every path forest of order <= 18,
+    # the inputs of the benchmark's exact_small workload: all below the
+    # closed-form cutoff.
+    outputs, covers = [], []
+    for arms in spider_arm_sets(22):
+        cover, schedule = burn_spider(Spider(arms))
+        outputs.append((schedule.claimed_time, schedule.sources))
+        covers.append((cover.pairs, cover.budget))
+    for orders in (o for n in range(1, 19) for o in partitions(n)):
+        cover, schedule, _ = greedy_burn(PathForest(orders))
+        outputs.append((schedule.claimed_time, schedule.sources))
+        covers.append((cover.pairs, cover.budget))
+    assert len(outputs) == 4970
+    assert digest(outputs) == "c81b1678288da0cfd44a8cc84ceb0dfb0adf46e1c2dadc384640fc2f80d16f03"
+    assert digest(covers) == "f96a878a9442c5197219fb7665b4ce8d8a55497926d06545a731565ff2d6fab0"

@@ -12,7 +12,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from burnkit import engine
+from conftest import neighbors
+from burnkit import burning, engine
 from burnkit.errors import InstanceError
 from burnkit.gen import random_path_forest, random_spider
 from burnkit.model import (
@@ -309,9 +310,12 @@ def test_closed_form_reuses_one_graph_across_calls():
 
 def test_segment_burn_answers_as_both_kernels():
     # engine.SegmentBurn holds a burn as points built from the sources
-    # alone.  Its three queries must read what the graph reads from either
-    # kernel's rounds: the completion, closed_min at every vertex, and the
-    # first vertex unburned after every round L that leaves one.
+    # alone, burning._KernelBurn as the BFS's rounds.  The three queries
+    # of both must read what either kernel's rounds give, so they agree
+    # on the same sources: the completion, the least round over every
+    # vertex and its neighbours (the rows conftest.neighbors reads), and
+    # the first vertex unburned after every round L that leaves one, in
+    # the ids sorted.
     rng = random.Random(20261021)
     seen = Counter()
     for _ in range(1500):
@@ -332,17 +336,21 @@ def test_segment_burn_answers_as_both_kernels():
         if sources and g.order > 1:
             # a neighbour of the first source, ignited after the fire got there
             sources.append(sources[0] + 1 if sources[0] + 1 < g.order else sources[0] - 1)
-        state = engine.SegmentBurn(lengths, g.hub, sources, offsets)
-        everyone = list(range(g.order))
-        lows = state.closed_min(everyone)
-        for times in (closed_form(g, sources), csr(g, sources)):
-            unburned = times < 0
-            rounds = np.where(unburned, state.never, times)
-            assert state.completion == rounds.max(), (lengths, g.hub, sources)
-            assert lows == g.closed_min(rounds, everyone), (lengths, g.hub, sources)
-            for L in range(int(times.max()) + unburned.any()):
-                got = state.first_unburned(L)
-                assert got == g.first_canonical(rounds > L), (lengths, g.hub, sources, L)
+        everyone, ids = list(range(g.order)), tuple(g.vertices)
+        rows = [g.indices_of(neighbors(g, v)) for v in ids]
+        canon = sorted(everyone, key=ids.__getitem__)
+        for state in (engine.SegmentBurn(lengths, g.hub, sources, offsets),
+                      burning._KernelBurn(g, sources)):
+            lows = state.closed_min(everyone)
+            for times in (closed_form(g, sources), csr(g, sources)):
+                unburned = times < 0
+                rounds = np.where(unburned, state.never, times).tolist()
+                assert state.completion == max(rounds), (state, lengths, g.hub, sources)
+                closed = [min(rounds[u] for u in [v, *row]) for v, row in enumerate(rows)]
+                assert lows == closed, (state, lengths, g.hub, sources)
+                for L in range(int(times.max()) + unburned.any()):
+                    first = next(v for v in canon if rounds[v] > L)
+                    assert state.first_unburned(L) == first, (state, lengths, g.hub, sources, L)
         touched = set((offsets.searchsorted(sources, "right") - 1).tolist()) - {-1}
         seen["repeated"] += len(set(sources)) < len(sources)
         seen["head"] += g.hub and 0 in sources
